@@ -9,7 +9,7 @@ only makes sense at toy sizes (a minute or so in total).
 import time
 
 from csiloc import gradient_check
-from csiloc.cli import GRADCHECK_TOLERANCE, build_tiny
+from csiloc.network import GRADCHECK_TOLERANCE, build_tiny
 
 for kind in ("cnn4", "cnn4r", "cnn4s", "fcnn", "linear"):
     net, x, target = build_tiny(kind)

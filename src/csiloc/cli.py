@@ -15,16 +15,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (Dataset, NormStats, SplitStrategy, SynthConfig, fit_normalizer,
+from .data import (NormStats, SplitStrategy, SynthConfig, apply_normalizer, fit_normalizer,
                    generate_synthetic, import_npy, load_canonical, split, write_canonical)
 from .errors import CsilocError
-from .models import (ArchConfig, DEFAULT_ARCH, MODEL_KINDS, build_model, count_weights,
-                     load_checkpoint, save_checkpoint)
-from .network import gradient_check
+from .models import (ArchConfig, MODEL_KINDS, build_model, count_weights, load_checkpoint,
+                     resolve_arch, save_checkpoint)
+from . import network
 from .train import TrainConfig, train
 from .evaluation import evaluate, emit_reports
-
-GRADCHECK_TOLERANCE = 1e-4
 
 
 def _positive_int(text):
@@ -77,26 +75,32 @@ def _load_config_file(path):
     return cfg
 
 
-def _split_config(flat, model_kind):
-    """Partition a flat config dict into (ArchConfig kwargs, TrainConfig kwargs, hidden)."""
-    arch_fields = set(ArchConfig.__dataclass_fields__)
-    train_fields = set(TrainConfig.__dataclass_fields__) - {"seed"}
+def _fits(value, kind):
+    """JSON value check for a dataclass field annotated int or float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) if kind is int else isinstance(value, (int, float))
+
+
+def _split_config(flat):
+    """Partition a flat config dict into (architecture fields, TrainConfig kwargs)."""
+    arch_fields = ArchConfig.__dataclass_fields__
+    train_fields = TrainConfig.__dataclass_fields__
     arch, train_kw = {}, {}
-    hidden = None
     for key, value in flat.items():
+        name = "seed" if key == "train_seed" else key
         if key == "hidden":
-            hidden = list(value)
+            dest, ok = arch, isinstance(value, list) and all(_fits(u, int) and u >= 1 for u in value)
         elif key in arch_fields:
-            arch[key] = value
-        elif key in train_fields:
-            train_kw[key] = value
-        elif key == "train_seed":
-            train_kw["seed"] = value
+            dest, ok = arch, _fits(value, arch_fields[key].type)
+        elif name in train_fields:
+            dest, ok = train_kw, _fits(value, train_fields[name].type)
         else:
             raise CsilocError(f"unknown config field {key!r}")
-    if model_kind in ("fcnn", "linear") and arch:
-        raise CsilocError(f"architecture fields {sorted(arch)} do not apply to {model_kind}")
-    return arch, train_kw, hidden
+        if not ok:
+            raise CsilocError(f"config field {key!r} has the wrong type: {value!r}")
+        dest[name] = value
+    return arch, train_kw
 
 
 def cmd_gen(args):
@@ -140,8 +144,7 @@ def cmd_split(args):
 def cmd_train(args):
     started = _utc_now()
     ds = load_canonical(args.train)
-    flat = _load_config_file(args.config)
-    arch_kw, train_kw, hidden = _split_config(flat, args.model)
+    arch_fields, train_kw = _split_config(_load_config_file(args.config))
     if args.seed is not None:
         train_kw["seed"] = args.seed
     if args.max_epochs is not None:
@@ -150,24 +153,14 @@ def cmd_train(args):
         train_kw["batch_size"] = args.batch_size
     train_cfg = TrainConfig(**train_kw)
 
-    input_shape = (2, ds.n_antennas, ds.n_subcarriers)
-    if args.model in ("fcnn", "linear"):
-        arch = {"hidden": hidden or [], "seed": arch_kw.get("seed", 0)}
-        if args.model == "linear" and arch["hidden"]:
-            raise CsilocError("linear model takes no hidden layers")
-    else:
-        defaults = asdict(DEFAULT_ARCH[args.model])
-        defaults.update(arch_kw)
-        arch = defaults
-    net = build_model(args.model, arch, input_shape)
+    arch = resolve_arch(args.model, arch_fields)
+    net = build_model(args.model, arch, (2, ds.n_antennas, ds.n_subcarriers))
 
     norm = fit_normalizer(ds)
-    normalized = Dataset(ds.csi / norm.scale, ds.snr, ds.pos,
-                         fc_hz=ds.fc_hz, bandwidth_hz=ds.bandwidth_hz, frame=ds.frame)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.ckpt"
-    net, history = train(net, normalized, train_cfg,
+    net, history = train(net, apply_normalizer(ds, norm), train_cfg,
                          checkpoint_path=ckpt, checkpoint_norm_scale=norm.scale)
     save_checkpoint(ckpt, net, norm_scale=norm.scale,
                     meta={"stop_reason": history.stop_reason, "epochs": len(history.records)})
@@ -200,41 +193,12 @@ def cmd_eval(args):
     return 0
 
 
-# shrunken geometry per architecture: W=60 and stride defaults would underflow
-# the width chain, so each kind gets the largest stride that stays legal
-_TINY = {
-    "cnn4": (ArchConfig(base_filters=2, kernel=3, stride=2, head_units=16, seed=11), (2, 4, 60)),
-    "cnn4r": (ArchConfig(base_filters=2, kernel=3, stride=2, head_units=16, seed=11), (2, 4, 60)),
-    "cnn4s": (ArchConfig(base_filters=2, kernel=3, stride=1, head_units=16, seed=11), (2, 4, 60)),
-    "fcnn": (None, (2, 4, 60)),
-    "linear": (None, (2, 4, 60)),
-}
-
-
-def build_tiny(kind):
-    import numpy as np
-    cfg, input_shape = _TINY[kind]
-    if kind in ("fcnn", "linear"):
-        net = build_model(kind, {"hidden": [8] if kind == "fcnn" else [], "seed": 11}, input_shape)
-    else:
-        net = build_model(kind, asdict(cfg), input_shape)
-    rng = np.random.default_rng(7)
-    # shipped init zeroes biases, which parks ReLU pre-activations exactly on
-    # the kink where central differences and the subgradient disagree; jitter
-    # every parameter so the check runs at a generic smooth point
-    for p in net.params():
-        p.value += rng.uniform(-0.15, 0.15, size=p.value.shape)
-    x = rng.standard_normal((2,) + input_shape)
-    target = rng.uniform(1.0, 3.0, size=(2, 3))
-    return net, x, target
-
-
 def cmd_gradcheck(args):
-    net, x, target = build_tiny(args.model)
-    result = gradient_check(net, x, target)
+    net, x, target = network.build_tiny(args.model)
+    result = network.gradient_check(net, x, target)
     print(result)
-    if result.max_rel_err < GRADCHECK_TOLERANCE:
-        print(f"gradcheck {args.model}: OK (< {GRADCHECK_TOLERANCE})")
+    if result.max_rel_err < network.GRADCHECK_TOLERANCE:
+        print(f"gradcheck {args.model}: OK (< {network.GRADCHECK_TOLERANCE})")
         return 0
     print(f"gradcheck {args.model}: FAILED at layer parameter {result.worst_param} "
           f"index {result.worst_index}", file=sys.stderr)
@@ -242,18 +206,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_count_weights(args):
-    flat = _load_config_file(args.config)
-    arch_kw, train_kw, hidden = _split_config(flat, args.model)
+    arch_fields, train_kw = _split_config(_load_config_file(args.config))
     if train_kw:
         raise CsilocError(f"count-weights config must not carry training fields: {sorted(train_kw)}")
-    input_shape = (2, args.antennas, args.subcarriers)
-    if args.model in ("fcnn", "linear"):
-        arch = {"hidden": hidden or [], "seed": 0}
-    else:
-        defaults = asdict(DEFAULT_ARCH[args.model])
-        defaults.update(arch_kw)
-        arch = defaults
-    net = build_model(args.model, arch, input_shape)
+    net = build_model(args.model, resolve_arch(args.model, arch_fields),
+                      (2, args.antennas, args.subcarriers))
     raw = count_weights(net)
     print(f"{raw} {raw / 1e6:.1f}")
     return 0
@@ -309,7 +266,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a shrunken model")
     p.add_argument("--model", required=True, choices=list(MODEL_KINDS))
-    p.add_argument("--scale", choices=["tiny"], default="tiny")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("count-weights", help="print trainable weight count")

@@ -366,7 +366,8 @@ class SplitStrategy:
             raise ValueError("eval_fraction must be in (0, 1)")
 
 
-def _round_half_up(x):
+def round_half_up(x):
+    """Nearest integer, halves rounded up (Python's round() rounds them to even)."""
     return int(math.floor(x + 0.5))
 
 
@@ -393,7 +394,7 @@ def split_indices(positions, strat: SplitStrategy):
     n = positions.shape[0]
     if n < 2:
         raise ValueError("cannot split fewer than 2 samples")
-    k = max(1, _round_half_up(n * strat.eval_fraction))
+    k = max(1, round_half_up(n * strat.eval_fraction))
 
     if strat.kind == "random":
         perm = np.random.default_rng(strat.seed).permutation(n)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, NormStats, apply_normalizer
+from .errors import CsilocError
 from .models import count_weights
 
 _EVAL_CHUNK = 256
@@ -74,30 +75,36 @@ class EvalReport:
 
 def _threads():
     cap = os.environ.get("CSILOC_THREADS", "")
-    if cap.strip():
+    if not cap.strip():
+        return os.cpu_count() or 1
+    try:
         return max(1, int(cap))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise CsilocError(f"CSILOC_THREADS must be an integer, got {cap!r}") from None
+
+
+def predict(net, x):
+    """Position estimates for a batch, forwarded in fixed-size chunks.
+
+    Up to CSILOC_THREADS workers run the chunks; results are gathered in
+    submission order, so they do not depend on the worker count.
+    """
+    chunks = [x[s:s + _EVAL_CHUNK] for s in range(0, len(x), _EVAL_CHUNK)]
+    workers = min(_threads(), len(chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.vstack(list(pool.map(net.forward, chunks)))
+    return np.vstack([net.forward(c) for c in chunks])
 
 
 def evaluate(model, eval_set: Dataset, norm: NormStats, metadata=None) -> EvalReport:
-    """Batched forward over the (normalizer-applied) evaluation set.
-
-    Chunks are a fixed size and reduced in submission order, so results do
-    not depend on how many workers CSILOC_THREADS allows.
-    """
+    """Forward pass over the (normalizer-applied) evaluation set, and its metrics."""
     if eval_set.n_subcarriers != model.input_shape[2] or eval_set.n_antennas != model.input_shape[1]:
         raise ValueError(
             f"model expects input {model.input_shape}, dataset provides "
             f"(2, {eval_set.n_antennas}, {eval_set.n_subcarriers})")
     ds = apply_normalizer(eval_set, norm)
-    chunks = [ds.csi[s:s + _EVAL_CHUNK] for s in range(0, len(ds), _EVAL_CHUNK)]
-    workers = min(_threads(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(model.forward, chunks))
-    else:
-        outs = [model.forward(c) for c in chunks]
-    estimate = np.vstack(outs)
+    estimate = predict(model, ds.csi)
     truth = ds.pos
     dist = np.linalg.norm(truth - estimate, axis=1)
     norm_truth = np.linalg.norm(truth, axis=1)

@@ -55,8 +55,12 @@ class Layer:
 
     label = ""
 
-    def params(self):
+    def named_params(self):
+        """(name, Param) pairs in checkpoint order; names are relative to the layer."""
         return []
+
+    def params(self):
+        return [p for _, p in self.named_params()]
 
     def zero_grads(self):
         for p in self.params():
@@ -106,8 +110,8 @@ class Conv1xK(Layer):
         self.b = Param(np.zeros(filters))
         self._ctx = None
 
-    def params(self):
-        return [self.w, self.b]
+    def named_params(self):
+        return [("weights", self.w), ("bias", self.b)]
 
     def _pad(self, width):
         if self.padding == "same":
@@ -281,8 +285,8 @@ class Dense(Layer):
         self.b = Param(np.zeros(units))
         self._x = None
 
-    def params(self):
-        return [self.w, self.b]
+    def named_params(self):
+        return [("weights", self.w), ("bias", self.b)]
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -337,8 +341,9 @@ class ResidualUnit(Layer):
                               rng=rng, label=label + ".conv_b")
         self.relu_out = ReLU(label=label + ".relu_out")
 
-    def params(self):
-        return self.conv_a.params() + self.conv_b.params()
+    def named_params(self):
+        return [(f"{name}.{sub}", p) for name, conv in (("conv_a", self.conv_a), ("conv_b", self.conv_b))
+                for sub, p in conv.named_params()]
 
     def forward(self, x):
         h = self.conv_b.forward(self.relu_mid.forward(self.conv_a.forward(x)))

@@ -15,12 +15,12 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 """
 
 import json
-import math
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .data import round_half_up
 from .errors import CheckpointError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit
 from .network import Network
@@ -31,10 +31,6 @@ DEFAULT_INPUT_SHAPE = (2, 16, 924)
 STEM_STRIDE = 2
 STEM_POOL = 4
 STEM_POOL_STRIDE = 2
-
-
-def _round_half_up(x):
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class ArchConfig:
         """Per-stage filter counts: round(F0 * growth^i), i = 0..3, nondecreasing."""
         if self.base_filters < 1:
             raise ValueError("base_filters must be >= 1")
-        counts = [_round_half_up(self.base_filters * self.growth ** i) for i in range(4)]
+        counts = [round_half_up(self.base_filters * self.growth ** i) for i in range(4)]
         if any(b < a for a, b in zip(counts, counts[1:])):
             raise ValueError(f"filter counts must be nondecreasing, got {counts}")
         return counts
@@ -154,21 +150,38 @@ def build_fcnn(hidden, input_shape=DEFAULT_INPUT_SHAPE, seed=0):
     return Network(layers, input_shape, kind=kind, arch={"hidden": hidden, "seed": seed})
 
 
+def resolve_arch(kind, flat):
+    """The architecture dict build_model takes, from a kind and its config fields.
+
+    CNN kinds lay ArchConfig fields over the kind's shipped defaults; fcnn and
+    linear take only hidden. kind must be one of MODEL_KINDS.
+    """
+    if kind in DEFAULT_ARCH:
+        if "hidden" in flat:
+            raise ValueError(f"hidden does not apply to {kind}")
+        return {**asdict(DEFAULT_ARCH[kind]), **flat}
+    extra = sorted(set(flat) - {"hidden"})
+    if extra:
+        raise ValueError(f"architecture fields {extra} do not apply to {kind}")
+    return {"hidden": list(flat.get("hidden", [])), "seed": 0}
+
+
+_CNN_BUILDERS = {"cnn4": build_cnn4, "cnn4r": build_cnn4r, "cnn4s": build_cnn4s}
+
+
 def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
-    """Dispatch on the model kind string used by checkpoints and the CLI."""
-    if kind == "cnn4":
-        return build_cnn4(_arch_config(arch) if arch else None, input_shape)
-    if kind == "cnn4r":
-        return build_cnn4r(_arch_config(arch) if arch else None, input_shape)
-    if kind == "cnn4s":
-        return build_cnn4s(_arch_config(arch) if arch else None, input_shape)
-    if kind in ("fcnn", "linear"):
-        arch = arch or {}
-        hidden = arch.get("hidden", []) if kind == "fcnn" else arch.get("hidden", [])
-        if kind == "linear" and hidden:
-            raise ValueError("linear model takes no hidden layers")
-        return build_fcnn(hidden, input_shape, seed=arch.get("seed", 0))
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    """Dispatch on the model kind string used by checkpoints and the CLI.
+
+    arch is a resolved architecture dict; empty or None means the kind's defaults.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    arch = arch or resolve_arch(kind, {})
+    if kind in _CNN_BUILDERS:
+        return _CNN_BUILDERS[kind](_arch_config(arch), input_shape)
+    if kind == "linear" and arch.get("hidden"):
+        raise ValueError("linear model takes no hidden layers")
+    return build_fcnn(arch.get("hidden", []), input_shape, seed=arch.get("seed", 0))
 
 
 def _arch_config(d):
@@ -180,12 +193,8 @@ def _arch_config(d):
 
 
 def count_weights(net):
-    """Total trainable element count, from the declared layer descriptors."""
-    total = 0
-    for layer in net.layers:
-        for shape in layer.describe()["param_shapes"]:
-            total += int(np.prod(shape))
-    return total
+    """Total trainable element count."""
+    return sum(p.size for p in net.params())
 
 
 def weights_millions(net):
@@ -233,12 +242,18 @@ def load_checkpoint(path):
         header = json.loads(blob[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("kind", "arch", "input_shape", "layers"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
+    norm_scale = header.get("norm_scale")
+    for key, types in (("arch", dict), ("input_shape", list), ("norm_scale", (int, float, type(None)))):
+        if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
+            raise CheckpointError(f"{path}: header {key!r} has the wrong type")
     try:
         net = build_model(header["kind"], header["arch"], tuple(header["input_shape"]))
-    except (ValueError, ShapeError) as e:
+    except (ValueError, TypeError, ShapeError) as e:
         raise CheckpointError(f"{path}: cannot rebuild model: {e}") from e
     declared = header["layers"]
     rebuilt = [layer.describe() for layer in net.layers]
@@ -261,4 +276,4 @@ def load_checkpoint(path):
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
-    return net, header.get("norm_scale"), header.get("meta", {})
+    return net, norm_scale, header.get("meta", {})

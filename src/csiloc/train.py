@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import round_half_up
 from .errors import ShapeError, TrainingDivergedError
+from .evaluation import _threads, mde, predict
 
 MDE_EPS = 1e-12          # keeps the loss gradient finite at zero error
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience
@@ -126,17 +128,8 @@ class TrainHistory:
                                  repr(r.lr), repr(r.seconds)])
 
 
-def _batched_mde(net, x, y, batch=256):
-    total = 0.0
-    for start in range(0, len(x), batch):
-        pred = net.forward(x[start:start + batch])
-        diff = pred - y[start:start + batch]
-        total += np.sqrt((diff * diff).sum(axis=1)).sum()
-    return float(total / len(x))
-
-
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
+def _batched_mde(net, x, y):
+    return mde(np.linalg.norm(predict(net, x) - y, axis=1))
 
 
 def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
@@ -147,6 +140,7 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
     tests to drive the schedule). With checkpoint_path set, the weights are
     written there every time the monitor improves.
     """
+    _threads()  # a malformed CSILOC_THREADS fails here, not after the first epoch
     n = len(ds)
     if n <= cfg.batch_size / (1.0 - cfg.monitor_fraction):
         raise ValueError(
@@ -154,7 +148,7 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
             f"with monitor_fraction {cfg.monitor_fraction}")
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
-    n_mon = max(1, _round_half_up(n * cfg.monitor_fraction))
+    n_mon = max(1, round_half_up(n * cfg.monitor_fraction))
     mon_ids = np.sort(perm[:n_mon])
     tr_ids = np.sort(perm[n_mon:])
     x_mon, y_mon = ds.csi[mon_ids], ds.pos[mon_ids]

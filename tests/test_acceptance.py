@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 import csiloc
-from csiloc.cli import build_tiny, main
+from csiloc.cli import main
 from csiloc.data import (Dataset, SplitStrategy, SynthConfig, export_npy, fit_normalizer,
                          generate_synthetic, import_npy, load_canonical, split,
                          split_indices, write_canonical)
@@ -24,7 +24,7 @@ from csiloc.errors import DataFormatError
 from csiloc.evaluation import emit_reports, evaluate, mde, nmde, rmse
 from csiloc.layers import AvgPool1xP, Conv1xK
 from csiloc.models import ArchConfig, build_cnn4, build_fcnn, build_model, count_weights
-from csiloc.network import gradient_check
+from csiloc.network import build_tiny, gradient_check
 from csiloc.npyio import read_npy, write_npy
 from csiloc.train import TrainConfig, train
 

@@ -183,6 +183,54 @@ class TestEval:
                    "--out", tmp_path / "x") == 1
 
 
+class TestConfigFields:
+    def write(self, tmp_path, flat):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flat))
+        return cfg
+
+    @pytest.mark.parametrize("flat", [
+        {"hidden": 5}, {"hidden": [4, "8"]}, {"max_epochs": "3"}, {"kernel": 2.5},
+        {"lr0": True}, {"train_seed": None},
+    ], ids=repr)
+    @pytest.mark.parametrize("command", ["train", "count-weights"])
+    def test_wrong_type_names_field(self, tmp_path, capsys, command, flat):
+        cfg = self.write(tmp_path, flat)
+        args = ["--train", gen_small(tmp_path), "--out", tmp_path / "o"] if command == "train" else []
+        assert run(command, "--model", "fcnn", "--config", cfg, *args) == 1
+        err = capsys.readouterr().err
+        assert f"config field {next(iter(flat))!r}" in err and "wrong type" in err
+
+    @pytest.mark.parametrize("command", ["train", "count-weights"])
+    def test_hidden_on_cnn_rejected(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, {"hidden": [4]})
+        args = ["--train", gen_small(tmp_path), "--out", tmp_path / "o"] if command == "train" else []
+        assert run(command, "--model", "cnn4", "--config", cfg, *args) == 1
+        assert "hidden does not apply to cnn4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, flat", [
+        ("cnn4", {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 8}),
+        ("fcnn", {"hidden": [4]}),
+        ("linear", {}),
+    ])
+    def test_train_and_count_weights_resolve_same_arch(self, tmp_path, capsys, model, flat):
+        data = tmp_path / "wide"
+        assert run("gen", "--out", data, "--samples", "60", "--subcarriers", "40",
+                   "--seed", "4") == 0
+        cfg = self.write(tmp_path, flat)
+        out = tmp_path / "run"
+        assert run("train", "--train", data, "--model", model, "--config", cfg, "--out", out,
+                   "--max-epochs", "1", "--batch-size", "16") == 0
+        capsys.readouterr()
+        assert run("count-weights", "--model", model, "--config", cfg,
+                   "--subcarriers", "40", "--antennas", "16") == 0
+        raw = int(capsys.readouterr().out.split()[0])
+        manifest = json.loads((out / "manifest.json").read_text())
+        net, _, _ = load_checkpoint(out / "model.ckpt")
+        assert net.arch == manifest["parameters"]["arch"]
+        assert raw == count_weights(net)
+
+
 class TestGradcheckCommand:
     def test_cnn4_tiny_ok(self, capsys):
         assert run("gradcheck", "--model", "cnn4") == 0

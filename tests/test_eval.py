@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from csiloc.data import Dataset, NormStats, fit_normalizer
+from csiloc.errors import CsilocError
 from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, rmse
 from csiloc.models import build_fcnn, count_weights
 
@@ -163,6 +164,12 @@ class TestEvaluate:
         monkeypatch.setenv("CSILOC_THREADS", "4")
         b = evaluate(net, ds, NormStats(1.0))
         npt.assert_array_equal(a.estimate, b.estimate)
+
+    def test_malformed_thread_cap(self, monkeypatch):
+        ds, net = crafted_linear_dataset()
+        monkeypatch.setenv("CSILOC_THREADS", "two")
+        with pytest.raises(CsilocError, match="CSILOC_THREADS"):
+            evaluate(net, ds, NormStats(1.0))
 
 
 class TestEmitReports:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +9,7 @@ from csiloc.layers import AvgPool1xP, Conv1xK, Dense, ReLU, ResidualUnit
 from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r, build_cnn4s,
                            build_fcnn, build_model, count_weights, load_checkpoint,
                            save_checkpoint, weights_millions)
-from csiloc.network import Network, gradient_check
-from csiloc.cli import build_tiny
+from csiloc.network import Network, build_tiny, gradient_check
 
 
 def closed_form_cnn4(f0, growth=1.5, k=7, head=1000, h=16, w=924, s=3, c_in=2):
@@ -246,6 +247,34 @@ class TestGradientCheck:
         assert gradient_check(net, x, target).max_rel_err < 1e-4
 
 
+def _weights_and_bias(*layers):
+    return [f"{layer}.{name}" for layer in layers for name in ("weights", "bias")]
+
+
+def _block_labels(b):
+    units = [f"block{b}.unit{u}.conv_{c}" for u in (1, 2, 3) for c in "ab"]
+    return _weights_and_bias(f"block{b}.entry", *units)
+
+
+TINY_LABELS = {
+    "cnn4": _weights_and_bias("conv1", "conv2", "conv3", "conv4", "head", "out"),
+    "cnn4r": (_block_labels(1) + _block_labels(2) + _block_labels(3) + _block_labels(4)
+              + _weights_and_bias("head", "out")),
+    "cnn4s": (_weights_and_bias("stem") + _block_labels(2) + _block_labels(3) + _block_labels(4)
+              + _weights_and_bias("head", "out")),
+    "fcnn": _weights_and_bias("hidden1", "out"),
+    "linear": _weights_and_bias("out"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_LABELS))
+def test_named_param_labels_pinned(kind):
+    net, _, _ = build_tiny(kind)
+    named = net.named_params()
+    assert [label for label, _ in named] == TINY_LABELS[kind]
+    assert [p for _, p in named] == net.params()
+
+
 class TestCheckpoint:
     def roundtrip(self, tmp_path, net, scale=2.5):
         path = tmp_path / "model.ckpt"
@@ -305,4 +334,21 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"CSILOC1\n{not json}\n")
         with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        5, [], {"arch": 5}, {"kind": "linear", "arch": [1]}, {"input_shape": 7},
+        {"input_shape": [2, None, 4]}, {"kind": "fcnn", "arch": {"hidden": 5, "seed": 0}},
+        {"kind": ["cnn4"]}, {"norm_scale": "1.0"}, {"norm_scale": True},
+    ], ids=repr)
+    def test_header_of_wrong_type(self, tmp_path, edit):
+        net = build_fcnn([], (2, 2, 4), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, net, norm_scale=1.0)
+        blob = path.read_bytes()
+        nl = blob.index(b"\n", len(b"CSILOC1\n"))
+        header = json.loads(blob[len(b"CSILOC1\n"):nl])
+        header = {**header, **edit} if isinstance(edit, dict) else edit
+        path.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + blob[nl:])
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)

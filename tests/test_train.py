@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from csiloc.data import Dataset
-from csiloc.errors import ShapeError, TrainingDivergedError
+from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.layers import Param
 from csiloc.models import build_fcnn
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
@@ -183,6 +183,27 @@ class TestTrainLoop:
         for ra, rb in zip(h1.records, h2.records):
             assert (ra.epoch, ra.train_mde, ra.monitor_mde, ra.lr) == \
                    (rb.epoch, rb.train_mde, rb.monitor_mde, rb.lr)
+
+    def test_two_chunk_monitor_thread_invariance(self, monkeypatch):
+        # 300 monitor samples: two forward chunks, run on two workers when allowed
+        ds = linear_task_dataset(n=600)
+        cfg = TrainConfig(max_epochs=3, batch_size=64, seed=4, monitor_fraction=0.5)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            runs.append(train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg))
+        (n1, h1), (n2, h2) = runs
+        for a, b in zip(n1.params(), n2.params()):
+            npt.assert_array_equal(a.value, b.value)
+        assert [(r.train_mde, r.monitor_mde, r.lr) for r in h1.records] == \
+               [(r.train_mde, r.monitor_mde, r.lr) for r in h2.records]
+
+    def test_malformed_thread_cap(self, monkeypatch):
+        monkeypatch.setenv("CSILOC_THREADS", "two")
+        with pytest.raises(CsilocError, match="CSILOC_THREADS"):
+            train(build_fcnn([], (2, 2, 8), seed=1), linear_task_dataset(),
+                  TrainConfig(max_epochs=1, batch_size=16),
+                  monitor_fn=lambda net, epoch: pytest.fail("an epoch ran"))
 
     def test_best_weight_restoration(self):
         ds = linear_task_dataset()
