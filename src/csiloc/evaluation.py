@@ -74,13 +74,10 @@ class EvalReport:
 
 
 def _threads():
-    cap = os.environ.get("CSILOC_THREADS", "")
-    if not cap.strip():
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise CsilocError(f"CSILOC_THREADS must be an integer, got {cap!r}") from None
+    cap = os.environ.get("CSILOC_THREADS", "").strip() or str(os.cpu_count() or 1)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise CsilocError(f"CSILOC_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 def predict(net, x):

@@ -7,7 +7,8 @@ only, so H is never padded, strided or pooled.
 
 The convolution and pooling forwards accumulate channel-outer, tap-inner and
 add the bias last, which makes them bit-identical to a naive nested-loop
-reference (same sequence of IEEE multiply/adds per output element).
+reference (same sequence of IEEE multiply/adds per output element). The conv
+backward is one BLAS product per kernel tap: equal to the loop only to rounding.
 """
 
 import numpy as np
@@ -146,19 +147,16 @@ class Conv1xK(Layer):
         expect = (xp.shape[0], self.filters, xp.shape[2], w_out)
         if grad_out.shape != expect:
             raise ShapeError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
-        s, k = self.stride, self.kernel
-        wv = self.w.value
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
-        gxp = np.zeros_like(xp)
-        for c in range(self.in_channels):
-            plane = xp[:, c]
-            for t in range(k):
-                win = plane[:, :, t:t + s * w_out:s]
-                self.w.grad[:, c, 0, t] += np.tensordot(grad_out, win, axes=([0, 2, 3], [0, 1, 2]))
-                gxp[:, c, :, t:t + s * w_out:s] += np.tensordot(grad_out, wv[:, c, 0, t], axes=(1, 0))
-        if left or gxp.shape[3] != in_width:
-            return gxp[:, :, :, left:left + in_width]
-        return gxp
+        # one GEMM per tap over all channels and filters, on (C, B, H, W) views of xp's memory
+        g = grad_out.transpose(1, 0, 2, 3).reshape(self.filters, -1)
+        xt = xp.transpose(1, 0, 2, 3)
+        gxt = np.zeros_like(xt)
+        for t in range(self.kernel):
+            cols = slice(t, t + self.stride * w_out, self.stride)
+            self.w.grad[:, :, 0, t] += g @ xt[..., cols].reshape(self.in_channels, -1).T
+            gxt[..., cols] += (self.w.value[:, :, 0, t].T @ g).reshape(xt[..., cols].shape)
+        return gxt.transpose(1, 0, 2, 3)[:, :, :, left:left + in_width]
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:

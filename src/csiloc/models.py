@@ -17,6 +17,7 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 import json
 import struct
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -185,11 +186,10 @@ def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
 
 
 def _arch_config(d):
-    fields = {k: d[k] for k in ArchConfig.__dataclass_fields__ if k in d}
     unknown = set(d) - set(ArchConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown architecture config fields: {sorted(unknown)}")
-    return ArchConfig(**fields)
+    return ArchConfig(**d)
 
 
 def count_weights(net):
@@ -220,19 +220,24 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
         "norm_scale": None if norm_scale is None else float(norm_scale),
         "meta": meta or {},
     }
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        for p in net.params():
-            f.write(struct.pack("<Q", p.size))
-            f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    # write beside the target, then rename: a failed or killed write leaves the old file whole
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            f.write(b"\n")
+            for p in net.params():
+                f.write(struct.pack("<Q", p.size))
+                f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
     """Rebuild the network and restore weights; returns (net, norm_scale, meta)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = Path(path).read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic; not a CSILOC1 checkpoint")
     nl = blob.find(b"\n", len(CHECKPOINT_MAGIC))
@@ -247,7 +252,6 @@ def load_checkpoint(path):
     for key in ("kind", "arch", "input_shape", "layers"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
-    norm_scale = header.get("norm_scale")
     for key, types in (("arch", dict), ("input_shape", list), ("norm_scale", (int, float, type(None)))):
         if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
             raise CheckpointError(f"{path}: header {key!r} has the wrong type")
@@ -276,4 +280,4 @@ def load_checkpoint(path):
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
-    return net, norm_scale, header.get("meta", {})
+    return net, header.get("norm_scale"), header.get("meta", {})

@@ -1,8 +1,10 @@
 """Shared oracles: naive nested-loop layer references and FD helpers.
 
-The references here are deliberately written as plain Python loops in the
-exact accumulation order the production code promises (channel outer, tap
-inner, bias last), so equality checks can be bit-for-bit.
+The forward references here are deliberately written as plain Python loops
+in the exact accumulation order the production code promises (channel outer,
+tap inner, bias last), so equality checks can be bit-for-bit. The conv
+backward reference is the channel x tap loop; the layer's per-tap matrix
+products match it to rounding, and its bias gradient bit for bit.
 """
 
 import numpy as np
@@ -33,6 +35,26 @@ def naive_conv1xk(x, w, b, stride, padding="valid"):
                         acc += xp[ci, hi, wi * stride + t] * w[fi, ci, 0, t]
                 out[fi, hi, wi] = acc + b[fi]
     return out
+
+
+def naive_conv1xk_backward(x, w, grad_out, stride, padding, gw, gb):
+    """Channel x tap loop backward of a batched conv: accumulates into gw, gb.
+
+    x is (B, C, H, W), grad_out (B, F, H, W_out). One tensordot per
+    (channel, tap) pair; returns the input gradient.
+    """
+    f, c_in, _, k = w.shape
+    left, right = same_padding(x.shape[3], k, stride) if padding == "same" else (0, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, right)))
+    w_out = grad_out.shape[3]
+    gb += grad_out.sum(axis=(0, 2, 3))
+    gxp = np.zeros_like(xp)
+    for c in range(c_in):
+        for t in range(k):
+            cols = slice(t, t + stride * w_out, stride)
+            gw[:, c, 0, t] += np.tensordot(grad_out, xp[:, c, :, cols], axes=([0, 2, 3], [0, 1, 2]))
+            gxp[:, c, :, cols] += np.tensordot(grad_out, w[:, c, 0, t], axes=(1, 0))
+    return gxp[:, :, :, left:left + x.shape[3]]
 
 
 def naive_avgpool1xp(x, pool, stride):

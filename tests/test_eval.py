@@ -167,9 +167,10 @@ class TestEvaluate:
 
     def test_malformed_thread_cap(self, monkeypatch):
         ds, net = crafted_linear_dataset()
-        monkeypatch.setenv("CSILOC_THREADS", "two")
-        with pytest.raises(CsilocError, match="CSILOC_THREADS"):
-            evaluate(net, ds, NormStats(1.0))
+        for cap in ("two", "0", "-3"):
+            monkeypatch.setenv("CSILOC_THREADS", cap)
+            with pytest.raises(CsilocError, match="CSILOC_THREADS"):
+                evaluate(net, ds, NormStats(1.0))
 
 
 class TestEmitReports:

@@ -6,7 +6,7 @@ from csiloc.errors import ShapeError
 from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit,
                            conv_out_width, residual_add, same_padding)
 
-from conftest import fd_layer_check, naive_avgpool1xp, naive_conv1xk
+from conftest import fd_layer_check, naive_avgpool1xp, naive_conv1xk, naive_conv1xk_backward
 
 
 def make_conv(c_in, f, k, s, padding="valid", seed=0):
@@ -137,6 +137,39 @@ class TestConvBackward:
     def test_backward_before_forward(self):
         with pytest.raises(ShapeError):
             Conv1xK(1, 1, 3, 1).backward(np.zeros((1, 1, 1, 3)))
+
+    # (C, F, W, k, s, padding); None is drawn at random per trial
+    @pytest.mark.parametrize("case", [
+        (None, None, 23, 2, 4, "valid"),     # stride > kernel: columns between windows get no gradient
+        (None, None, 9, 9, 1, "valid"),      # kernel == width: one output column
+        (None, None, 17, 4, None, "same"),   # even kernel: asymmetric same pad
+        (None, None, 21, 6, 3, "same"),
+        (1, 1, 19, 5, None, None),           # one channel, one filter
+    ])
+    def test_matches_loop_oracle(self, case):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            c, f, w, k, s, padding = case
+            c = c or int(rng.integers(1, 6))
+            f = f or int(rng.integers(1, 6))
+            s = s or int(rng.integers(1, 4))
+            padding = padding or ("valid" if rng.integers(2) else "same")
+            conv = make_conv(c, f, k, s, padding, seed=int(rng.integers(1 << 30)))
+            x = rng.standard_normal((int(rng.integers(1, 4)), c, int(rng.integers(1, 4)), w))
+            out = conv.forward(x)
+            gw, gb = np.zeros_like(conv.w.value), np.zeros_like(conv.b.value)
+            for _ in range(2):  # the second call must accumulate onto the first
+                grad_out = rng.standard_normal(out.shape)
+                gx = conv.backward(grad_out)
+                ref_gx = naive_conv1xk_backward(x, conv.w.value, grad_out, s, padding, gw, gb)
+                npt.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12 * np.abs(ref_gx).max())
+                npt.assert_allclose(conv.w.grad, gw, rtol=0, atol=1e-12 * np.abs(gw).max())
+                npt.assert_array_equal(conv.b.grad, gb)
+            if s > k and padding == "valid":
+                untouched = np.ones(w, bool)
+                for t in range(k):
+                    untouched[t:t + s * out.shape[3]:s] = False
+                assert untouched.any() and not gx[..., untouched].any()
 
     def test_grad_out_shape_mismatch(self):
         conv = make_conv(1, 2, 3, 1, seed=16)

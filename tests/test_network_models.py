@@ -1,9 +1,12 @@
 import json
+import struct
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from csiloc import models
 from csiloc.errors import CheckpointError, ShapeError
 from csiloc.layers import AvgPool1xP, Conv1xK, Dense, ReLU, ResidualUnit
 from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r, build_cnn4s,
@@ -294,6 +297,30 @@ class TestCheckpoint:
         _, (loaded, _, _) = self.roundtrip(tmp_path, net)
         assert loaded.kind == "fcnn"
         for pa, pb in zip(net.params(), loaded.params()):
+            npt.assert_array_equal(pa.value, pb.value)
+
+    def test_failed_write_keeps_previous(self, tmp_path, monkeypatch):
+        net, _, _ = build_tiny("cnn4r")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, net, norm_scale=1.0)
+        before = path.read_bytes()
+        for p in net.params():
+            p.value += 1.0
+        packs = iter(range(len(net.params())))
+
+        def pack(fmt, value):  # the third parameter's size field fails, mid-file
+            if next(packs) == 2:
+                raise OSError("no space left on device")
+            return struct.pack(fmt, value)
+        monkeypatch.setattr(models, "struct", types.SimpleNamespace(pack=pack))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, net, norm_scale=2.0)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        loaded, scale, _ = load_checkpoint(path)
+        assert scale == 1.0
+        for pa, pb in zip(build_tiny("cnn4r")[0].params(), loaded.params()):
             npt.assert_array_equal(pa.value, pb.value)
 
     def test_bad_magic(self, tmp_path):

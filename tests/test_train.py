@@ -6,6 +6,7 @@ from csiloc.data import Dataset
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.layers import Param
 from csiloc.models import build_fcnn
+from csiloc.network import build_tiny
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
 
@@ -183,6 +184,18 @@ class TestTrainLoop:
         for ra, rb in zip(h1.records, h2.records):
             assert (ra.epoch, ra.train_mde, ra.monitor_mde, ra.lr) == \
                    (rb.epoch, rb.train_mde, rb.monitor_mde, rb.lr)
+
+    @pytest.mark.parametrize("kind", ["cnn4r", "cnn4s"])
+    def test_determinism_residual_and_stem(self, kind):
+        # residual units, same padding and (cnn4s) the pooled stem
+        ds = linear_task_dataset(n=48, a=4, w=60)
+        cfg = TrainConfig(max_epochs=3, batch_size=16, seed=9)
+        n1, h1 = train(build_tiny(kind)[0], ds, cfg)
+        n2, h2 = train(build_tiny(kind)[0], ds, cfg)
+        for a, b in zip(n1.params(), n2.params()):
+            npt.assert_array_equal(a.value, b.value)
+        assert [(r.train_mde, r.monitor_mde, r.lr) for r in h1.records] == \
+               [(r.train_mde, r.monitor_mde, r.lr) for r in h2.records]
 
     def test_two_chunk_monitor_thread_invariance(self, monkeypatch):
         # 300 monitor samples: two forward chunks, run on two workers when allowed
