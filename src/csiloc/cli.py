@@ -19,7 +19,7 @@ from .data import (NormStats, SplitStrategy, SynthConfig, apply_normalizer, fit_
                    generate_synthetic, import_npy, load_canonical, split, write_canonical)
 from .errors import CsilocError
 from .models import (ArchConfig, MODEL_KINDS, build_model, count_weights, load_checkpoint,
-                     resolve_arch, save_checkpoint)
+                     resolve_arch, save_checkpoint, weights_millions)
 from . import network
 from .train import TrainConfig, train
 from .evaluation import evaluate, emit_reports
@@ -157,11 +157,11 @@ def cmd_train(args):
     net = build_model(args.model, arch, (2, ds.n_antennas, ds.n_subcarriers))
 
     norm = fit_normalizer(ds)
+    ds = apply_normalizer(ds, norm)   # the loaded float32 CSI is freed here
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.ckpt"
-    net, history = train(net, apply_normalizer(ds, norm), train_cfg,
-                         checkpoint_path=ckpt, checkpoint_norm_scale=norm.scale)
+    net, history = train(net, ds, train_cfg, checkpoint_path=ckpt, checkpoint_norm_scale=norm.scale)
     save_checkpoint(ckpt, net, norm_scale=norm.scale,
                     meta={"stop_reason": history.stop_reason, "epochs": len(history.records)})
     history.to_csv(out / "history.csv")
@@ -211,8 +211,7 @@ def cmd_count_weights(args):
         raise CsilocError(f"count-weights config must not carry training fields: {sorted(train_kw)}")
     net = build_model(args.model, resolve_arch(args.model, arch_fields),
                       (2, args.antennas, args.subcarriers))
-    raw = count_weights(net)
-    print(f"{raw} {raw / 1e6:.1f}")
+    print(f"{count_weights(net)} {weights_millions(net)}")
     return 0
 
 

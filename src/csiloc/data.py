@@ -1,9 +1,12 @@
 """Dataset container, canonical on-disk format, NPY import, synthetic CSI
 generation, normalization and the four train/evaluation split geometries.
 
-A dataset is a batch of labeled fingerprints: CSI as (N, 2, A, W) float64
-(Re/Im channels first, A antennas, W subcarriers), per-antenna SNR in dB,
-and 3-D transmitter positions in meters in the dataset's native frame.
+A dataset is a batch of labeled fingerprints: CSI as (N, 2, A, W) (Re/Im
+channels first, A antennas, W subcarriers), per-antenna SNR in dB, and 3-D
+transmitter positions in meters in the dataset's native frame. CSI read from
+a container or a float32/complex64 NPY stays float32, as a view of the bytes
+read; any other CSI is float64. apply_normalizer makes the one float64 copy
+that training and evaluation compute on. SNR and positions are float64.
 """
 
 import json
@@ -39,7 +42,8 @@ class Dataset:
     frame: str = "native"
 
     def __post_init__(self):
-        self.csi = np.asarray(self.csi, dtype=np.float64)
+        csi = np.asarray(self.csi)   # float32 stays float32; apply_normalizer makes the float64 copy
+        self.csi = csi if csi.dtype == np.float32 else csi.astype(np.float64, copy=False)
         self.snr = np.asarray(self.snr, dtype=np.float64)
         self.pos = np.asarray(self.pos, dtype=np.float64)
         if self.csi.ndim != 4 or self.csi.shape[1] != 2:
@@ -71,8 +75,7 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices, dtype=np.intp)
-        return replace(self, csi=self.csi[idx].copy(), snr=self.snr[idx].copy(),
-                       pos=self.pos[idx].copy())
+        return replace(self, csi=self.csi[idx], snr=self.snr[idx], pos=self.pos[idx])
 
 
 # --- canonical container -----------------------------------------------------
@@ -96,10 +99,13 @@ def write_canonical(directory, ds: Dataset):
         "frame": ds.frame,
     }
     (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    disk = np.ascontiguousarray(ds.csi.transpose(0, 2, 3, 1), dtype="<f4")
-    (directory / "csi.f32").write_bytes(disk.tobytes())
-    (directory / "snr.f32").write_bytes(ds.snr.astype("<f4").tobytes())
-    (directory / "pos.f32").write_bytes(ds.pos.astype("<f4").tobytes())
+    # a loaded or imported float32 CSI transposes back to its own contiguous bytes: no copy
+    for name, arr in (("csi.f32", ds.csi.transpose(0, 2, 3, 1)), ("snr.f32", ds.snr), ("pos.f32", ds.pos)):
+        np.ascontiguousarray(arr, dtype="<f4").tofile(directory / name)
+
+
+_META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": (int, float),
+               "bandwidth_hz": (int, float), "frame": str}
 
 
 def load_canonical(directory) -> Dataset:
@@ -109,14 +115,20 @@ def load_canonical(directory) -> Dataset:
         raise DataFormatError(f"{directory}: missing meta.json")
     try:
         meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise DataFormatError(f"{meta_path}: malformed JSON: {e}") from e
-    for key in ("format_version", "n", "antennas", "subcarriers", "fc_hz", "bandwidth_hz", "frame"):
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{meta_path}: not a JSON object")
+    for key in ("format_version", *_META_TYPES):
         if key not in meta:
             raise DataFormatError(f"{meta_path}: missing field {key!r}")
     if meta["format_version"] != 1:
         raise DataFormatError(f"{meta_path}: unsupported format_version {meta['format_version']}")
-    n, a, w = int(meta["n"]), int(meta["antennas"]), int(meta["subcarriers"])
+    for key, types in _META_TYPES.items():
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, types) or (types is int and value < 0):
+            raise DataFormatError(f"{meta_path}: field {key!r} has a wrong type or value: {value!r}")
+    n, a, w = meta["n"], meta["antennas"], meta["subcarriers"]
 
     def read_exact(name, count):
         path = directory / name
@@ -131,9 +143,8 @@ def load_canonical(directory) -> Dataset:
     csi = read_exact("csi.f32", n * a * w * 2).reshape(n, a, w, 2).transpose(0, 3, 1, 2)
     snr = read_exact("snr.f32", n * a).reshape(n, a)
     pos = read_exact("pos.f32", n * 3).reshape(n, 3)
-    return Dataset(csi.astype(np.float64), snr, pos,
-                   fc_hz=float(meta["fc_hz"]), bandwidth_hz=float(meta["bandwidth_hz"]),
-                   frame=str(meta["frame"]))
+    return Dataset(csi, snr, pos, fc_hz=float(meta["fc_hz"]),
+                   bandwidth_hz=float(meta["bandwidth_hz"]), frame=meta["frame"])
 
 
 # --- NPY import --------------------------------------------------------------
@@ -147,11 +158,10 @@ def import_npy(csi_path, snr_path, pos_path, fc_hz=1.25e9, bandwidth_hz=20e6) ->
     if np.iscomplexobj(csi):
         if csi.ndim != 3:
             raise DataFormatError(f"{csi_path}: complex csi must be (N, antennas, subcarriers), got {csi.shape}")
-        planes = np.stack([csi.real, csi.imag], axis=1).astype(np.float64)
-    else:
-        if csi.ndim != 4 or csi.shape[3] != 2:
-            raise DataFormatError(f"{csi_path}: real csi must be (N, antennas, subcarriers, 2), got {csi.shape}")
-        planes = csi.transpose(0, 3, 1, 2).astype(np.float64)
+        csi = csi.view("<f4").reshape(csi.shape + (2,))   # complex64 is (re, im) float32 pairs
+    elif csi.ndim != 4 or csi.shape[3] != 2:
+        raise DataFormatError(f"{csi_path}: real csi must be (N, antennas, subcarriers, 2), got {csi.shape}")
+    planes = csi.transpose(0, 3, 1, 2)
     if snr.ndim != 2 or pos.ndim != 2 or pos.shape[1] != 3:
         raise DataFormatError(f"snr must be (N, antennas) and pos (N, 3), got {snr.shape} and {pos.shape}")
     if not (planes.shape[0] == snr.shape[0] == pos.shape[0]):
@@ -160,8 +170,7 @@ def import_npy(csi_path, snr_path, pos_path, fc_hz=1.25e9, bandwidth_hz=20e6) ->
     if planes.shape[2] != snr.shape[1]:
         raise DataFormatError(
             f"antenna count mismatch: csi has {planes.shape[2]}, snr has {snr.shape[1]}")
-    return Dataset(planes, snr.astype(np.float64), pos.astype(np.float64),
-                   fc_hz=fc_hz, bandwidth_hz=bandwidth_hz)
+    return Dataset(planes, snr, pos, fc_hz=fc_hz, bandwidth_hz=bandwidth_hz)
 
 
 def export_npy(directory, ds: Dataset):
@@ -338,14 +347,19 @@ class NormStats:
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
-    scale = float(train.csi.std())
+    # ndarray.std() on a float64 copy, centred and squared in place: one temporary,
+    # and the same sums in the same order whether the CSI is float32 or float64
+    x = train.csi.astype(np.float64)
+    x -= x.mean(keepdims=True)
+    scale = float(np.sqrt(np.square(x, out=x).mean()))
     if scale == 0.0:
         raise ValueError("training CSI has zero variance; cannot normalize")
     return NormStats(scale)
 
 
 def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    return replace(ds, csi=ds.csi / stats.scale, snr=ds.snr.copy(), pos=ds.pos.copy())
+    """The float64 CSI that training and evaluation compute on; snr and pos are shared."""
+    return replace(ds, csi=np.divide(ds.csi, stats.scale, dtype=np.float64))
 
 
 # --- splits ------------------------------------------------------------------

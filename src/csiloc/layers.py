@@ -55,6 +55,8 @@ class Layer:
     """Forward/backward contract shared by all layers."""
 
     label = ""
+    kind = ""      # the layer's name in the checkpoint header
+    fields = ()    # constructor arguments the checkpoint header records
 
     def named_params(self):
         """(name, Param) pairs in checkpoint order; names are relative to the layer."""
@@ -78,7 +80,9 @@ class Layer:
         raise NotImplementedError
 
     def describe(self):
-        raise NotImplementedError
+        """Checkpoint header entry: kind, constructor fields and parameter shapes."""
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields},
+                "param_shapes": [list(p.value.shape) for p in self.params()]}
 
 
 def _he_uniform(rng, shape, fan_in):
@@ -92,6 +96,9 @@ class Conv1xK(Layer):
     Weights are (filters, in_channels, 1, k); bias one entry per filter.
     padding "valid" crops, "same" zero-pads so the output width is ceil(W/s).
     """
+
+    kind = "conv1xk"
+    fields = ("in_channels", "filters", "kernel", "stride", "padding")
 
     def __init__(self, in_channels, filters, kernel, stride=1, padding="valid", rng=None, label=""):
         if padding not in ("valid", "same"):
@@ -165,20 +172,11 @@ class Conv1xK(Layer):
         left, right = self._pad(w)
         return (self.filters, h, conv_out_width(w + left + right, self.kernel, self.stride))
 
-    def describe(self):
-        return {
-            "kind": "conv1xk",
-            "in_channels": self.in_channels,
-            "filters": self.filters,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "padding": self.padding,
-            "param_shapes": [list(self.w.value.shape), list(self.b.value.shape)],
-        }
-
 
 class ReLU(Layer):
     """Elementwise max(x, 0); subgradient at exactly 0 is 0."""
+
+    kind = "relu"
 
     def __init__(self, label=""):
         self.label = label
@@ -196,12 +194,12 @@ class ReLU(Layer):
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
-    def describe(self):
-        return {"kind": "relu", "param_shapes": []}
-
 
 class AvgPool1xP(Layer):
     """Rolling average with pool (1, p) and stride (1, s) over the subcarrier axis."""
+
+    kind = "avgpool1xp"
+    fields = ("pool", "stride")
 
     def __init__(self, pool, stride, label=""):
         self.pool = pool
@@ -238,12 +236,11 @@ class AvgPool1xP(Layer):
         c, h, w = in_shape
         return (c, h, conv_out_width(w, self.pool, self.stride))
 
-    def describe(self):
-        return {"kind": "avgpool1xp", "pool": self.pool, "stride": self.stride, "param_shapes": []}
-
 
 class Flatten(Layer):
     """(B, C, H, W) -> (B, C*H*W), row-major with the last axis fastest."""
+
+    kind = "flatten"
 
     def __init__(self, label=""):
         self.label = label
@@ -264,12 +261,12 @@ class Flatten(Layer):
         c, h, w = in_shape
         return (c * h * w,)
 
-    def describe(self):
-        return {"kind": "flatten", "param_shapes": []}
-
 
 class Dense(Layer):
     """Affine map: out = x @ W.T + b with W of shape (units, in_features)."""
+
+    kind = "dense"
+    fields = ("in_features", "units")
 
     def __init__(self, in_features, units, rng=None, label=""):
         self.in_features = in_features
@@ -305,14 +302,6 @@ class Dense(Layer):
             raise ShapeError(f"dense {self.label or ''} expects ({self.in_features},), got {in_shape}")
         return (self.units,)
 
-    def describe(self):
-        return {
-            "kind": "dense",
-            "in_features": self.in_features,
-            "units": self.units,
-            "param_shapes": [list(self.w.value.shape), list(self.b.value.shape)],
-        }
-
 
 def residual_add(main, skip):
     """Elementwise sum of two identically shaped tensors (the identity skip)."""
@@ -327,6 +316,9 @@ class ResidualUnit(Layer):
     Same padding keeps (F, H, W) unchanged so the skip is always shape-legal;
     the backward duplicates the incoming gradient into both branches.
     """
+
+    kind = "residual_unit"
+    fields = ("filters", "kernel")
 
     def __init__(self, filters, kernel, rng=None, label=""):
         self.filters = filters
@@ -360,11 +352,3 @@ class ResidualUnit(Layer):
         if shape != tuple(in_shape):
             raise ShapeError(f"residual unit does not preserve shape: {in_shape} -> {shape}")
         return tuple(in_shape)
-
-    def describe(self):
-        return {
-            "kind": "residual_unit",
-            "filters": self.filters,
-            "kernel": self.kernel,
-            "param_shapes": [list(p.value.shape) for p in self.params()],
-        }

@@ -24,7 +24,7 @@ import numpy as np
 from .data import round_half_up
 from .errors import CheckpointError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit
-from .network import Network
+from .network import Network, count_weights
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
 
@@ -190,11 +190,6 @@ def _arch_config(d):
     if unknown:
         raise ValueError(f"unknown architecture config fields: {sorted(unknown)}")
     return ArchConfig(**d)
-
-
-def count_weights(net):
-    """Total trainable element count."""
-    return sum(p.size for p in net.params())
 
 
 def weights_millions(net):

@@ -73,6 +73,11 @@ class Network:
             p.value[...] = v
 
 
+def count_weights(net):
+    """Total trainable element count."""
+    return sum(p.size for p in net.params())
+
+
 GRADCHECK_TOLERANCE = 1e-4
 
 # shrunken geometry per architecture: W=60 and stride defaults would underflow
@@ -143,7 +148,7 @@ def gradient_check(net, x, target, step=1e-6):
     _, grad = mde_loss(net.forward(x), target)
     net.backward(grad)
 
-    result = GradCheckResult(max_rel_err=0.0, n_params=sum(p.size for p in net.params()))
+    result = GradCheckResult(max_rel_err=0.0, n_params=count_weights(net))
     for label, p in net.named_params():
         flat_v = p.value.ravel()
         flat_g = p.grad.ravel()

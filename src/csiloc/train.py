@@ -152,7 +152,6 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
     mon_ids = np.sort(perm[:n_mon])
     tr_ids = np.sort(perm[n_mon:])
     x_mon, y_mon = ds.csi[mon_ids], ds.pos[mon_ids]
-    x_tr, y_tr = ds.csi[tr_ids], ds.pos[tr_ids]
 
     params = net.params()
     sched = PlateauSchedule(cfg.lr0, cfg.lr_factor, cfg.lr_patience, cfg.stop_patience)
@@ -162,14 +161,14 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
 
     for epoch in range(1, cfg.max_epochs + 1):
         tick = time.perf_counter()
-        order = rng.permutation(len(tr_ids))
+        order = tr_ids[rng.permutation(len(tr_ids))]
         running = 0.0
         lr_used = sched.lr
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            batch = order[start:start + cfg.batch_size]   # gathered per batch: a whole-set gather is a full copy
             net.zero_grads()
-            pred = net.forward(x_tr[batch])
-            loss, grad = mde_loss(pred, y_tr[batch])
+            pred = net.forward(ds.csi[batch])
+            loss, grad = mde_loss(pred, ds.pos[batch])
             if not np.isfinite(loss):
                 history.stop_reason = "diverged"
                 raise TrainingDivergedError(

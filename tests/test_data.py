@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from csiloc.cli import main
 from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, antenna_positions,
                          apply_normalizer, channel_response, fit_normalizer,
                          generate_synthetic, load_canonical, scene_reflectors, split,
@@ -93,6 +94,23 @@ class TestCanonicalContainer:
         (tmp_path / "d" / "meta.json").write_text("{broken")
         with pytest.raises(DataFormatError, match="malformed JSON"):
             load_canonical(tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_bytes(b"\xff\xfe{}")   # not UTF-8
+        with pytest.raises(DataFormatError, match="malformed JSON"):
+            load_canonical(tmp_path / "d")
+
+    @pytest.mark.parametrize("edit", [{"n": None}, {"antennas": [16]}, {"n": "six"}, {"fc_hz": "x"},
+                                      5, {"n": 6.7}, {"n": True}, {"n": -6, "antennas": -2},
+                                      {"bandwidth_hz": None}, {"frame": 3}])
+    def test_malformed_meta_typed(self, tmp_path, capsys, edit):
+        write_canonical(tmp_path / "d", tiny_dataset(n=6))
+        meta_path = tmp_path / "d" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, **edit} if isinstance(edit, dict) else edit))
+        with pytest.raises(DataFormatError):
+            load_canonical(tmp_path / "d")
+        argv = ["split", "--data", str(tmp_path / "d"), "--kind", "random", "--out", str(tmp_path / "s")]
+        assert main(argv) == 1
+        assert "csiloc split:" in capsys.readouterr().err
 
     def test_non_finite_on_disk(self, tmp_path):
         ds = tiny_dataset()

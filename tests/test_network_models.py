@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import types
@@ -276,6 +277,29 @@ def test_named_param_labels_pinned(kind):
     named = net.named_params()
     assert [label for label, _ in named] == TINY_LABELS[kind]
     assert [p for _, p in named] == net.params()
+
+
+# sha256 of the checkpoint header line (the describe() entries among it), taken
+# from the commit where each layer class still wrote its own describe()
+HEADER_SHA256 = {
+    ("tiny", "cnn4"): "0fa43fce60994d8f048c27269f5af4f5dc47f5d35e74d7663739e6ff5ad60e16",
+    ("tiny", "cnn4r"): "2a6e6a287abc4b83819ef012ad3934022420232ecfa7d6e2dd45ea425cef4135",
+    ("tiny", "cnn4s"): "8294a2dda34637c07a2f95c11e7a6418e09d6ed88839b82fe102fa632b612f6d",
+    ("tiny", "fcnn"): "09378e9d4b87314750dfd9155f86d68f7523634c6c3ea52f743546c29a6348f0",
+    ("tiny", "linear"): "637ffa7e7f69d4dc89fda0491a17458af88076660a5e001d9a76bcf875f6eba1",
+    ("shipped", "cnn4"): "2d6c3c70ac51f16138efa2faddc72809b608c71a1a08d01daa9adfc52fb45dd3",
+    ("shipped", "cnn4r"): "71546cc490f09643c0d8be3ed4f68e916146c91d9d9d436bcb4b491009c48650",
+    ("shipped", "cnn4s"): "2ddbd794ad01ae5fb54ba0b3028ce3985b853ef126cabf9df277b02e9b5e0826",
+}
+
+
+@pytest.mark.parametrize("which,kind", sorted(HEADER_SHA256))
+def test_checkpoint_header_pinned(tmp_path, which, kind):
+    net = build_tiny(kind)[0] if which == "tiny" else build_model(kind, None)
+    save_checkpoint(tmp_path / "c", net, norm_scale=0.5)
+    blob = (tmp_path / "c").read_bytes()
+    header = blob[:blob.index(b"\n", len(models.CHECKPOINT_MAGIC))]
+    assert hashlib.sha256(header).hexdigest() == HEADER_SHA256[which, kind]
 
 
 class TestCheckpoint:
