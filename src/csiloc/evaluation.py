@@ -125,6 +125,15 @@ RMSE_NOTE = ("rmse_m is the root of the mean squared 3-D distance error and can 
              "convention they actually used.")
 
 
+def write_csv(path, header, rows):
+    """Write header and rows as CSV; floats as repr(float(v)), so they read back exactly."""
+    with open(path, "w", newline="\n") as f:
+        for row in [header, *rows]:
+            f.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                             for v in row) + "\n")
+    return path
+
+
 def emit_reports(report: EvalReport, out_dir):
     """Write cdf.csv, err_hist.csv, quiver.csv and summary.json; returns their paths."""
     if report.n_samples == 0:
@@ -133,28 +142,17 @@ def emit_reports(report: EvalReport, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     n = report.n_samples
 
-    cdf_path = out / "cdf.csv"
-    with open(cdf_path, "w", newline="\n") as f:
-        f.write("distance_error_m,probability\n")
-        for i, e in enumerate(np.sort(report.distance_error, kind="stable")):
-            f.write(f"{float(e)!r},{(i + 1) / n!r}\n")
-
-    hist_path = out / "err_hist.csv"
-    with open(hist_path, "w", newline="\n") as f:
-        f.write("axis,bin_low_m,bin_high_m,count\n")
-        for axis, name in ((0, "x"), (1, "y")):
-            signed = report.estimate[:, axis] - report.truth[:, axis]
-            counts, edges = np.histogram(signed, bins=50)
-            for b in range(50):
-                f.write(f"{name},{float(edges[b])!r},{float(edges[b + 1])!r},{int(counts[b])}\n")
-
-    quiver_path = out / "quiver.csv"
-    with open(quiver_path, "w", newline="\n") as f:
-        f.write("truth_x_m,truth_y_m,dx_m,dy_m\n")
-        for i in range(n):
-            dx = float(report.estimate[i, 0] - report.truth[i, 0])
-            dy = float(report.estimate[i, 1] - report.truth[i, 1])
-            f.write(f"{float(report.truth[i, 0])!r},{float(report.truth[i, 1])!r},{dx!r},{dy!r}\n")
+    errors = np.sort(report.distance_error, kind="stable")
+    cdf_path = write_csv(out / "cdf.csv", ["distance_error_m", "probability"],
+                         zip(errors.tolist(), (np.arange(1, n + 1) / n).tolist()))
+    hist = []
+    for axis, name in ((0, "x"), (1, "y")):
+        counts, edges = np.histogram(report.estimate[:, axis] - report.truth[:, axis], bins=50)
+        hist += [(name, edges[b], edges[b + 1], counts[b]) for b in range(50)]
+    hist_path = write_csv(out / "err_hist.csv", ["axis", "bin_low_m", "bin_high_m", "count"], hist)
+    delta = report.estimate - report.truth
+    quiver_path = write_csv(out / "quiver.csv", ["truth_x_m", "truth_y_m", "dx_m", "dy_m"],
+                            np.hstack([report.truth[:, :2], delta[:, :2]]).tolist())
 
     summary_path = out / "summary.json"
     summary = {

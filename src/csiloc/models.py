@@ -17,6 +17,7 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 import json
 import struct
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,88 +66,60 @@ DEFAULT_ARCH = {
 MODEL_KINDS = ("cnn4", "cnn4r", "cnn4s", "fcnn", "linear")
 
 
-def _head(shape, head_units, rng, layers):
-    """Append flatten -> dense(head)+ReLU -> dense(3) and return the builder list."""
-    flat = int(np.prod(shape))
-    layers.append(Flatten(label="flatten"))
-    layers.append(Dense(flat, head_units, rng=rng, label="head"))
-    layers.append(ReLU(label="head.relu"))
-    layers.append(Dense(head_units, 3, rng=rng, label="out"))
-    return layers
+def _dense_chain(width, hidden, rng):
+    """flatten -> dense + ReLU per (label, units) in hidden -> dense(3) "out"."""
+    layers = [Flatten(label="flatten")]
+    for label, units in hidden:
+        layers += [Dense(width, units, rng=rng, label=label), ReLU(label=f"{label}.relu")]
+        width = units
+    return layers + [Dense(width, 3, rng=rng, label="out")]
 
 
-def build_cnn4(cfg: ArchConfig = None, input_shape=DEFAULT_INPUT_SHAPE):
-    cfg = cfg or DEFAULT_ARCH["cnn4"]
-    rng = np.random.default_rng(cfg.seed)
-    filters = cfg.filter_counts()
-    layers = []
-    shape = tuple(input_shape)
-    channels = shape[0]
-    for i, f in enumerate(filters):
-        conv = Conv1xK(channels, f, cfg.kernel, cfg.stride, "valid", rng=rng, label=f"conv{i + 1}")
-        shape = conv.out_shape(shape)
-        layers += [conv, ReLU(label=f"conv{i + 1}.relu")]
-        channels = f
-    _head(shape, cfg.head_units, rng, layers)
-    return Network(layers, input_shape, kind="cnn4", arch=asdict(cfg))
-
-
-def _residual_block(index, in_channels, filters, cfg, rng, shape, layers):
-    entry = Conv1xK(in_channels, filters, cfg.kernel, cfg.stride, "valid",
-                    rng=rng, label=f"block{index}.entry")
-    shape = entry.out_shape(shape)
-    layers += [entry, ReLU(label=f"block{index}.entry.relu")]
-    for u in range(cfg.residual_units_per_block):
-        unit = ResidualUnit(filters, cfg.kernel, rng=rng, label=f"block{index}.unit{u + 1}")
+def _conv_stage(layers, shape, name, filters, stride, kernel, rng, units=None):
+    """Append a strided valid conv + ReLU labelled name and return the output shape;
+    with units (a residual block) the conv is name.entry, then units name.unit<u>."""
+    label = name if units is None else f"{name}.entry"
+    conv = Conv1xK(shape[0], filters, kernel, stride, "valid", rng=rng, label=label)
+    shape = conv.out_shape(shape)
+    layers += [conv, ReLU(label=f"{label}.relu")]
+    for u in range(0 if units is None else units):
+        unit = ResidualUnit(filters, kernel, rng=rng, label=f"{name}.unit{u + 1}")
         shape = unit.out_shape(shape)
         layers.append(unit)
     return shape
 
 
-def build_cnn4r(cfg: ArchConfig = None, input_shape=DEFAULT_INPUT_SHAPE):
-    cfg = cfg or DEFAULT_ARCH["cnn4r"]
+def _build_cnn(kind, cfg=None, input_shape=DEFAULT_INPUT_SHAPE):
+    """Four conv stages (plain, residual blocks, or a stem then blocks), then the head."""
+    cfg = cfg or DEFAULT_ARCH[kind]
     rng = np.random.default_rng(cfg.seed)
-    filters = cfg.filter_counts()
-    layers = []
-    shape = tuple(input_shape)
-    channels = shape[0]
-    for i, f in enumerate(filters):
-        shape = _residual_block(i + 1, channels, f, cfg, rng, shape, layers)
-        channels = f
-    _head(shape, cfg.head_units, rng, layers)
-    return Network(layers, input_shape, kind="cnn4r", arch=asdict(cfg))
+    layers, shape = [], tuple(input_shape)
+    for i, f in enumerate(cfg.filter_counts(), start=1):
+        if kind == "cnn4":
+            shape = _conv_stage(layers, shape, f"conv{i}", f, cfg.stride, cfg.kernel, rng)
+        elif kind == "cnn4s" and i == 1:
+            shape = _conv_stage(layers, shape, "stem", f, STEM_STRIDE, cfg.kernel, rng)
+            layers.append(AvgPool1xP(STEM_POOL, STEM_POOL_STRIDE, label="stem.pool"))
+            shape = layers[-1].out_shape(shape)
+        else:
+            shape = _conv_stage(layers, shape, f"block{i}", f, cfg.stride, cfg.kernel, rng,
+                                cfg.residual_units_per_block)
+    layers += _dense_chain(int(np.prod(shape)), [("head", cfg.head_units)], rng)
+    return Network(layers, input_shape, kind=kind, arch=asdict(cfg))
 
 
-def build_cnn4s(cfg: ArchConfig = None, input_shape=DEFAULT_INPUT_SHAPE):
-    cfg = cfg or DEFAULT_ARCH["cnn4s"]
-    rng = np.random.default_rng(cfg.seed)
-    filters = cfg.filter_counts()
-    layers = []
-    shape = tuple(input_shape)
-    stem = Conv1xK(shape[0], filters[0], cfg.kernel, STEM_STRIDE, "valid", rng=rng, label="stem")
-    shape = stem.out_shape(shape)
-    pool = AvgPool1xP(STEM_POOL, STEM_POOL_STRIDE, label="stem.pool")
-    layers += [stem, ReLU(label="stem.relu"), pool]
-    shape = pool.out_shape(shape)
-    channels = filters[0]
-    for i, f in enumerate(filters[1:], start=2):
-        shape = _residual_block(i, channels, f, cfg, rng, shape, layers)
-        channels = f
-    _head(shape, cfg.head_units, rng, layers)
-    return Network(layers, input_shape, kind="cnn4s", arch=asdict(cfg))
+# the per-kind entry points: build_cnn4(cfg=None, input_shape=DEFAULT_INPUT_SHAPE)
+build_cnn4 = partial(_build_cnn, "cnn4")
+build_cnn4r = partial(_build_cnn, "cnn4r")
+build_cnn4s = partial(_build_cnn, "cnn4s")
 
 
 def build_fcnn(hidden, input_shape=DEFAULT_INPUT_SHAPE, seed=0):
     """Dense baseline; hidden=[] yields the pure linear model."""
     hidden = list(hidden)
     rng = np.random.default_rng(seed)
-    layers = [Flatten(label="flatten")]
-    width = int(np.prod(input_shape))
-    for i, units in enumerate(hidden):
-        layers += [Dense(width, units, rng=rng, label=f"hidden{i + 1}"),
-                   ReLU(label=f"hidden{i + 1}.relu")]
-        width = units
-    layers.append(Dense(width, 3, rng=rng, label="out"))
+    labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
+    layers = _dense_chain(int(np.prod(input_shape)), labelled, rng)
     kind = "linear" if not hidden else "fcnn"
     return Network(layers, input_shape, kind=kind, arch={"hidden": hidden, "seed": seed})
 
@@ -167,9 +140,6 @@ def resolve_arch(kind, flat):
     return {"hidden": list(flat.get("hidden", [])), "seed": 0}
 
 
-_CNN_BUILDERS = {"cnn4": build_cnn4, "cnn4r": build_cnn4r, "cnn4s": build_cnn4s}
-
-
 def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
     """Dispatch on the model kind string used by checkpoints and the CLI.
 
@@ -178,8 +148,8 @@ def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     arch = arch or resolve_arch(kind, {})
-    if kind in _CNN_BUILDERS:
-        return _CNN_BUILDERS[kind](_arch_config(arch), input_shape)
+    if kind in DEFAULT_ARCH:
+        return _build_cnn(kind, _arch_config(arch), input_shape)
     if kind == "linear" and arch.get("hidden"):
         raise ValueError("linear model takes no hidden layers")
     return build_fcnn(arch.get("hidden", []), input_shape, seed=arch.get("seed", 0))
@@ -224,7 +194,7 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
             f.write(b"\n")
             for p in net.params():
                 f.write(struct.pack("<Q", p.size))
-                f.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(p.value, dtype="<f8"))  # the buffer, not a bytes copy
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)

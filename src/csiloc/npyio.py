@@ -1,57 +1,57 @@
-"""Minimal NPY v1.0 reader/writer.
+"""Minimal NPY v1.0 reader/writer over numpy.lib.format.
 
 Only the subset this pipeline exchanges is supported: C-order arrays of
 little-endian float32, float64 or complex64. Anything else (v2.0 headers,
 Fortran order, other dtypes) is rejected with a specific message rather
-than silently coerced.
+than silently coerced. numpy.lib.format reads and writes the magic string
+and the header; the checks on what a header declares are this module's.
 """
 
-import ast
+import io
+import math
+import tokenize
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import DataFormatError
 
-NPY_MAGIC = b"\x93NUMPY"
 SUPPORTED_DESCRS = ("<f4", "<f8", "<c8")
 
 
 def read_npy(path):
+    """The file's array as a read-only view of the bytes read (no copy)."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:6] != NPY_MAGIC:
-        raise DataFormatError(f"{path}: not an NPY file (bad magic)")
-    if len(blob) < 10:
-        raise DataFormatError(f"{path}: truncated NPY preamble")
-    major, minor = blob[6], blob[7]
-    if (major, minor) != (1, 0):
-        raise DataFormatError(
-            f"{path}: unsupported NPY version {major}.{minor}; only version 1.0 is supported")
-    header_len = int.from_bytes(blob[8:10], "little")
-    header_end = 10 + header_len
-    if len(blob) < header_end:
-        raise DataFormatError(f"{path}: truncated NPY header")
+    stream = io.BytesIO(blob)
     try:
-        header = ast.literal_eval(blob[10:header_end].decode("latin1").strip())
-        descr = header["descr"]
-        fortran = header["fortran_order"]
-        shape = header["shape"]
-    except (ValueError, SyntaxError, KeyError, TypeError) as e:
+        version = npy_format.read_magic(stream)
+    except ValueError as e:
+        raise DataFormatError(f"{path}: not an NPY file: {e}") from e
+    if version != (1, 0):
+        raise DataFormatError(
+            f"{path}: unsupported NPY version {version[0]}.{version[1]}; only version 1.0 is supported")
+    try:
+        shape, fortran, dtype = npy_format.read_array_header_1_0(stream)
+    except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError) as e:
         raise DataFormatError(f"{path}: malformed NPY header: {e}") from e
     if fortran:
         raise DataFormatError(f"{path}: fortran_order NPY arrays are not supported (need C order)")
-    if descr not in SUPPORTED_DESCRS:
+    if dtype.str not in SUPPORTED_DESCRS:
         raise DataFormatError(
-            f"{path}: unsupported NPY dtype {descr!r}; expected one of {SUPPORTED_DESCRS}")
-    if not isinstance(shape, tuple) or not all(isinstance(v, int) and v >= 0 for v in shape):
+            f"{path}: unsupported NPY dtype {dtype.str!r}; expected one of {SUPPORTED_DESCRS}")
+    # numpy lets booleans and negative values through as dimensions
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape):
         raise DataFormatError(f"{path}: malformed NPY shape {shape!r}")
-    dtype = np.dtype(descr)
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    actual = len(blob) - header_end
-    if actual != expected:
-        raise DataFormatError(
-            f"{path}: NPY data size mismatch: header declares {expected} bytes, file holds {actual}")
-    return np.frombuffer(blob, dtype=dtype, offset=header_end).reshape(shape)
+    offset = stream.tell()
+    expected = math.prod(shape) * dtype.itemsize
+    if len(blob) - offset != expected:
+        raise DataFormatError(f"{path}: NPY data size mismatch: header declares {expected} "
+                              f"bytes, file holds {len(blob) - offset}")
+    try:
+        return np.frombuffer(blob, dtype=dtype, offset=offset).reshape(shape)
+    except ValueError as e:  # over 64 dimensions, or a dimension numpy cannot index
+        raise DataFormatError(f"{path}: malformed NPY shape {shape!r}: {e}") from e
 
 
 def write_npy(path, arr):
@@ -59,14 +59,5 @@ def write_npy(path, arr):
     descr = arr.dtype.newbyteorder("<").str
     if descr not in SUPPORTED_DESCRS:
         raise DataFormatError(f"cannot write dtype {arr.dtype}; expected one of {SUPPORTED_DESCRS}")
-    header = ("{'descr': '%s', 'fortran_order': False, 'shape': %s, }"
-              % (descr, repr(arr.shape)))
-    # pad so that data starts on a 64-byte boundary, as np.save does
-    unpadded = len(NPY_MAGIC) + 2 + 2 + len(header) + 1
-    header = header + " " * (-unpadded % 64) + "\n"
     with open(path, "wb") as f:
-        f.write(NPY_MAGIC)
-        f.write(bytes([1, 0]))
-        f.write(len(header).to_bytes(2, "little"))
-        f.write(header.encode("latin1"))
-        f.write(arr.astype(descr, copy=False).tobytes())
+        npy_format.write_array(f, arr.astype(descr, copy=False), version=(1, 0), allow_pickle=False)

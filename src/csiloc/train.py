@@ -7,7 +7,6 @@ reproducible in double precision; wall-clock seconds are the one recorded
 quantity that is not.
 """
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .data import round_half_up
 from .errors import ShapeError, TrainingDivergedError
-from .evaluation import _threads, mde, predict
+from .evaluation import _threads, mde, predict, write_csv
 
 MDE_EPS = 1e-12          # keeps the loss gradient finite at zero error
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience
@@ -120,12 +119,8 @@ class TrainHistory:
     stop_reason: str = "max_epochs"
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["epoch", "train_mde", "monitor_mde", "lr", "seconds"])
-            for r in self.records:
-                writer.writerow([r.epoch, repr(r.train_mde), repr(r.monitor_mde),
-                                 repr(r.lr), repr(r.seconds)])
+        write_csv(path, ["epoch", "train_mde", "monitor_mde", "lr", "seconds"],
+                  ((r.epoch, r.train_mde, r.monitor_mde, r.lr, r.seconds) for r in self.records))
 
 
 def _batched_mde(net, x, y):

@@ -12,7 +12,7 @@ from csiloc.errors import CheckpointError, ShapeError
 from csiloc.layers import AvgPool1xP, Conv1xK, Dense, ReLU, ResidualUnit
 from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r, build_cnn4s,
                            build_fcnn, build_model, count_weights, load_checkpoint,
-                           save_checkpoint, weights_millions)
+                           resolve_arch, save_checkpoint, weights_millions)
 from csiloc.network import Network, build_tiny, gradient_check
 
 
@@ -234,11 +234,11 @@ class TestGradientCheck:
         cfg = ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=31)
         layers = []
         shape = (2, 2, 20)
-        from csiloc.models import _residual_block
-        shape = _residual_block(1, 2, 2, cfg, rng, shape, layers)
-        shape = _residual_block(2, 2, 3, cfg, rng, shape, layers)
-        from csiloc.models import _head
-        _head(shape, 8, rng, layers)
+        from csiloc.models import _conv_stage, _dense_chain
+        units = cfg.residual_units_per_block
+        shape = _conv_stage(layers, shape, "block1", 2, cfg.stride, cfg.kernel, rng, units)
+        shape = _conv_stage(layers, shape, "block2", 3, cfg.stride, cfg.kernel, rng, units)
+        layers += _dense_chain(int(np.prod(shape)), [("head", 8)], rng)
         net = Network(layers, (2, 2, 20), kind="mini")
         for p in net.params():
             p.value += rng.uniform(-0.2, 0.2, p.value.shape)
@@ -282,6 +282,8 @@ def test_named_param_labels_pinned(kind):
 # sha256 of the checkpoint header line (the describe() entries among it), taken
 # from the commit where each layer class still wrote its own describe()
 HEADER_SHA256 = {
+    ("desk", "cnn4"): "cfd8fe673b850b58cff115736f1f2f50d605a339a12b4df02eaf5fbb2b4ad9fc",
+    ("desk", "cnn4r"): "53cef6ead18712d8a1b41360d30bbdc11897ccc77a041b97786f8dfcff2039d1",
     ("tiny", "cnn4"): "0fa43fce60994d8f048c27269f5af4f5dc47f5d35e74d7663739e6ff5ad60e16",
     ("tiny", "cnn4r"): "2a6e6a287abc4b83819ef012ad3934022420232ecfa7d6e2dd45ea425cef4135",
     ("tiny", "cnn4s"): "8294a2dda34637c07a2f95c11e7a6418e09d6ed88839b82fe102fa632b612f6d",
@@ -292,14 +294,41 @@ HEADER_SHA256 = {
     ("shipped", "cnn4s"): "2ddbd794ad01ae5fb54ba0b3028ce3985b853ef126cabf9df277b02e9b5e0826",
 }
 
+# sha256 of the whole checkpoint file, initial weights included, taken from the
+# commit before the three CNN kinds shared one builder: a builder that reorders
+# its RNG draws changes these and no header
+CHECKPOINT_SHA256 = {
+    ("desk", "cnn4"): "ce876be91c705bbf681a88df117652d1b3439795cd158df7212b3cce4e841180",
+    ("desk", "cnn4r"): "6e7bc9337247f3ea280bdeb2eb1c9a19dfcb39cd47ff64ebfef2c37475b976b5",
+    ("tiny", "cnn4"): "d8d27c1f4a6c2b4b82f15ac232dd6b308e4b68b5b9b09440da0067aeeb3f09f0",
+    ("tiny", "cnn4r"): "8c3d6bf72ff6cf69a118da9ae6e30203a10785f34f1a04ba7b5606a70cf8ef9b",
+    ("tiny", "cnn4s"): "c58a89fa8746aa547584ad3deb73e83ce043d26c32a8c95ec89b25134decdb4f",
+    ("tiny", "fcnn"): "dd9f41a2d6eb50664ca1df27dd512f69f7b6de33393c7b634659c14555505915",
+    ("tiny", "linear"): "43482539298a720aa73bf14562a3fb59e31258f1d5797b7d42fddb0bc10b91bb",
+    ("shipped", "cnn4"): "e620319716725d8f378d65ebc3f32309fc3b2aea5c291213bc467a5f9b6f147c",
+    ("shipped", "cnn4r"): "e3cc32699f01a5e4e28be09f94e5528d7ba32af660aa502f3f26ce4d6c0db48c",
+    ("shipped", "cnn4s"): "5fa2bc3cff8e9e5cd29209544866ca39a22ca9c496464363d6fbc256855e925e",
+}
+
+# configs/desk64_cnn4.json's architecture at the desk width
+DESK_ARCH = {"base_filters": 8, "kernel": 5, "stride": 2, "head_units": 256, "seed": 3}
+
+
+def _pinned_net(which, kind):
+    if which == "tiny":
+        return build_tiny(kind)[0]
+    if which == "desk":
+        return build_model(kind, resolve_arch(kind, DESK_ARCH), (2, 16, 64))
+    return build_model(kind, None)
+
 
 @pytest.mark.parametrize("which,kind", sorted(HEADER_SHA256))
 def test_checkpoint_header_pinned(tmp_path, which, kind):
-    net = build_tiny(kind)[0] if which == "tiny" else build_model(kind, None)
-    save_checkpoint(tmp_path / "c", net, norm_scale=0.5)
+    save_checkpoint(tmp_path / "c", _pinned_net(which, kind), norm_scale=0.5)
     blob = (tmp_path / "c").read_bytes()
     header = blob[:blob.index(b"\n", len(models.CHECKPOINT_MAGIC))]
     assert hashlib.sha256(header).hexdigest() == HEADER_SHA256[which, kind]
+    assert hashlib.sha256(blob).hexdigest() == CHECKPOINT_SHA256[which, kind]
 
 
 class TestCheckpoint:

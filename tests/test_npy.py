@@ -1,21 +1,26 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csiloc.data import export_npy, generate_synthetic, import_npy, SynthConfig
 from csiloc.errors import DataFormatError
-from csiloc.npyio import read_npy, write_npy
+from csiloc.npyio import SUPPORTED_DESCRS, read_npy, write_npy
 
 
-def craft_npy(path, descr, shape, payload, version=(1, 0), fortran=False):
-    """Hand-assembled NPY file, byte by byte."""
-    header = "{'descr': '%s', 'fortran_order': %s, 'shape': %s}" % (
-        descr, fortran, repr(shape))
+def craft_header(path, header, payload=b"", version=(1, 0)):
+    """Hand-assembled NPY file around the given header text, byte by byte."""
     header = header + " " * (63 - (10 + len(header)) % 64) + "\n"
     blob = b"\x93NUMPY" + bytes(version) + len(header).to_bytes(2, "little")
     blob += header.encode("latin1") + payload
     path.write_bytes(blob)
     return path
+
+
+def craft_npy(path, descr, shape, payload, version=(1, 0), fortran=False):
+    header = "{'descr': '%s', 'fortran_order': %s, 'shape': %s}" % (
+        descr, fortran, repr(shape))
+    return craft_header(path, header, payload, version)
 
 
 class TestReader:
@@ -84,6 +89,83 @@ class TestReader:
         path = craft_npy(tmp_path / "t.npy", "<f4", (4,), np.zeros(3, "<f4").tobytes())
         with pytest.raises(DataFormatError, match="size mismatch"):
             read_npy(path)
+
+
+# one header per way a crafted file can fail inside numpy's header parser or
+# on the declared shape. Before the reader went through numpy.lib.format, the
+# shape cases and deep_unary escaped as OverflowError, ValueError, TypeError or
+# RecursionError, and extra_key was accepted (np.load rejects it)
+SHAPE_HEADER = "{'descr': '<f4', 'fortran_order': False, 'shape': %s}"
+CRAFTED_HEADERS = {
+    "dim_over_int64": (SHAPE_HEADER % "(%d,)" % 2 ** 70, b""),
+    "product_wraps_to_zero": (SHAPE_HEADER % "(%d, 4)" % 2 ** 62, b""),
+    "bool_dim": (SHAPE_HEADER % "(True,)", bytes(4)),
+    "empty_with_huge_dim": (SHAPE_HEADER % "(0, %d)" % 2 ** 70, b""),
+    "rank_65": (SHAPE_HEADER % repr((1,) * 65), bytes(4)),
+    "deep_unary": ("-" * 3000 + "1", b""),
+    "unterminated_string": (SHAPE_HEADER % "(1,), '''", bytes(4)),
+    "unindent": ("1\n  2\n 3", b""),
+    "unhashable_key": ("{[1]: 2}", b""),
+    "extra_key": (SHAPE_HEADER % "(1,), 'x': 0", bytes(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_HEADERS))
+def test_crafted_header_typed_error(tmp_path, case):
+    header, payload = CRAFTED_HEADERS[case]
+    path = craft_header(tmp_path / "c.npy", header, payload)
+    with pytest.raises(DataFormatError):
+        read_npy(path)
+
+
+def _valid_npy_blobs(tmp_path):
+    blobs = []
+    for i, (descr, shape) in enumerate([("<f4", (2, 3)), ("<f8", (4,)), ("<c8", (1, 2, 2)),
+                                        ("<f4", (0, 5))]):
+        write_npy(tmp_path / f"v{i}.npy", np.arange(np.prod(shape)).reshape(shape).astype(descr))
+        blobs.append((tmp_path / f"v{i}.npy").read_bytes())
+    return blobs
+
+
+_HEADER_TEXT = st.text(alphabet="{}()[]',:0123456789-+.eEjLxTrueFalsNn<>fc|V \n\t\\\"#",
+                       max_size=12)
+
+
+@st.composite
+def _mangled(draw, blobs):
+    """A valid file truncated, with bytes overwritten, or with header text replaced."""
+    blob = bytearray(draw(st.sampled_from(blobs)))
+    end = 10 + int.from_bytes(blob[8:10], "little")
+    how = draw(st.sampled_from(["truncate", "bytes", "header"]))
+    if how == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if how == "bytes":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(blob)
+    start = draw(st.integers(10, end - 1))
+    stop = draw(st.integers(start, end))
+    header = blob[10:start] + draw(_HEADER_TEXT).encode("latin1") + blob[stop:end]
+    if draw(st.booleans()):  # declare the new header length, or keep the old one
+        return bytes(blob[:8] + len(header).to_bytes(2, "little") + header + blob[end:])
+    return bytes(blob[:10] + header + blob[end:])
+
+
+def test_property_only_typed_errors(tmp_path):
+    """Mangled files raise DataFormatError or read as a supported C-order array."""
+    path = tmp_path / "m.npy"
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_mangled(_valid_npy_blobs(tmp_path)))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            arr = read_npy(path)
+        except DataFormatError:
+            return
+        assert arr.dtype.str in SUPPORTED_DESCRS and arr.flags.c_contiguous
+
+    check()
 
 
 class TestRoundTrips:
