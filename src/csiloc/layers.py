@@ -8,7 +8,11 @@ only, so H is never padded, strided or pooled.
 The convolution and pooling forwards accumulate channel-outer, tap-inner and
 add the bias last, which makes them bit-identical to a naive nested-loop
 reference (same sequence of IEEE multiply/adds per output element). The conv
-backward is one BLAS product per kernel tap: equal to the loop only to rounding.
+forward runs that sequence in a filter-major (F, B*H*W_out) accumulator: per
+(channel, tap) it copies the strided input window into one contiguous row,
+multiplies it by the tap's filter column and adds the product, so every ufunc
+sweeps long contiguous runs. The conv backward is one BLAS product per kernel
+tap: equal to the loop only to rounding.
 """
 
 import numpy as np
@@ -134,16 +138,23 @@ class Conv1xK(Layer):
         xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, right))) if left or right else x
         w_out = conv_out_width(xp.shape[3], self.kernel, self.stride)
         batch, _, height, _ = x.shape
-        s, k = self.stride, self.kernel
+        s, k, f = self.stride, self.kernel, self.filters
         wv = self.w.value
-        out = np.zeros((batch, self.filters, height, w_out), dtype=DTYPE)
-        # channel-outer, tap-inner accumulation; bias last (matches naive loop)
+        # filter-major accumulation: acc[f, (b, h, w)] gets 0, then += w[f, c, t] * x
+        # for each (c, t), channel-outer, tap-inner, then the bias (matches naive loop)
+        acc = np.zeros((f, batch * height * w_out), dtype=DTYPE)
+        tmp = np.empty_like(acc)
+        row = np.empty(acc.shape[1], dtype=DTYPE)
+        win = row.reshape(batch, height, w_out)
         for c in range(self.in_channels):
             plane = xp[:, c]
             for t in range(k):
-                win = plane[:, :, t:t + s * w_out:s]
-                out += wv[:, c, 0, t][None, :, None, None] * win[:, None, :, :]
-        out += self.b.value[None, :, None, None]
+                win[...] = plane[:, :, t:t + s * w_out:s]
+                np.multiply(wv[:, c, 0, t][:, None], row, out=tmp)
+                acc += tmp
+        del tmp  # before the output copy, so at most two output-sized arrays are live
+        acc += self.b.value[:, None]
+        out = np.ascontiguousarray(acc.reshape(f, batch, height, w_out).transpose(1, 0, 2, 3))
         self._ctx = (xp, x.shape[3], left, w_out)
         return out
 

@@ -15,6 +15,8 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 """
 
 import json
+import math
+import operator
 import struct
 from dataclasses import dataclass, asdict
 from functools import partial
@@ -24,7 +26,7 @@ import numpy as np
 
 from .data import round_half_up
 from .errors import CheckpointError, ShapeError
-from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit
+from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit, conv_out_width
 from .network import Network, count_weights
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
@@ -89,21 +91,42 @@ def _conv_stage(layers, shape, name, filters, stride, kernel, rng, units=None):
     return shape
 
 
+def _check_sizes(name, values, least=1):
+    """TypeError unless each of values is an int, ValueError unless each is >= least.
+
+    The builders and _weights_to_build check every size here, so each term of the
+    loader's weight count is nonnegative and no value can cancel another.
+    """
+    if any(operator.index(v) < least for v in values):
+        raise ValueError(f"{name} must be integers >= {least}, got {list(values)}")
+
+
+def _cnn_stages(kind, cfg, input_shape):
+    """Yield (name, filters, stride, units, pooled) per conv stage: four plain convs,
+    residual blocks, or a stem then blocks. units is None for a plain conv and pooled
+    marks the stem's rolling average. _build_cnn builds this walk, _weights_to_build counts it."""
+    _check_sizes("input_shape", input_shape)
+    _check_sizes("kernel, stride and head_units", (cfg.kernel, cfg.stride, cfg.head_units))
+    _check_sizes("residual_units_per_block", (cfg.residual_units_per_block,), least=0)
+    for i, f in enumerate(cfg.filter_counts(), start=1):
+        if kind == "cnn4":
+            yield f"conv{i}", f, cfg.stride, None, False
+        elif kind == "cnn4s" and i == 1:
+            yield "stem", f, STEM_STRIDE, None, True
+        else:
+            yield f"block{i}", f, cfg.stride, cfg.residual_units_per_block, False
+
+
 def _build_cnn(kind, cfg=None, input_shape=DEFAULT_INPUT_SHAPE):
-    """Four conv stages (plain, residual blocks, or a stem then blocks), then the head."""
+    """Four conv stages, then the head."""
     cfg = cfg or DEFAULT_ARCH[kind]
     rng = np.random.default_rng(cfg.seed)
     layers, shape = [], tuple(input_shape)
-    for i, f in enumerate(cfg.filter_counts(), start=1):
-        if kind == "cnn4":
-            shape = _conv_stage(layers, shape, f"conv{i}", f, cfg.stride, cfg.kernel, rng)
-        elif kind == "cnn4s" and i == 1:
-            shape = _conv_stage(layers, shape, "stem", f, STEM_STRIDE, cfg.kernel, rng)
-            layers.append(AvgPool1xP(STEM_POOL, STEM_POOL_STRIDE, label="stem.pool"))
+    for name, f, stride, units, pooled in _cnn_stages(kind, cfg, shape):
+        shape = _conv_stage(layers, shape, name, f, stride, cfg.kernel, rng, units)
+        if pooled:
+            layers.append(AvgPool1xP(STEM_POOL, STEM_POOL_STRIDE, label=f"{name}.pool"))
             shape = layers[-1].out_shape(shape)
-        else:
-            shape = _conv_stage(layers, shape, f"block{i}", f, cfg.stride, cfg.kernel, rng,
-                                cfg.residual_units_per_block)
     layers += _dense_chain(int(np.prod(shape)), [("head", cfg.head_units)], rng)
     return Network(layers, input_shape, kind=kind, arch=asdict(cfg))
 
@@ -114,12 +137,19 @@ build_cnn4r = partial(_build_cnn, "cnn4r")
 build_cnn4s = partial(_build_cnn, "cnn4s")
 
 
+def _fcnn_widths(hidden, input_shape):
+    """[flattened input, *hidden, 3]: the dense chain build_fcnn builds, sizes checked."""
+    _check_sizes("input_shape", input_shape)
+    _check_sizes("hidden widths", hidden)
+    return [math.prod(input_shape), *hidden, 3]
+
+
 def build_fcnn(hidden, input_shape=DEFAULT_INPUT_SHAPE, seed=0):
     """Dense baseline; hidden=[] yields the pure linear model."""
     hidden = list(hidden)
     rng = np.random.default_rng(seed)
     labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
-    layers = _dense_chain(int(np.prod(input_shape)), labelled, rng)
+    layers = _dense_chain(_fcnn_widths(hidden, input_shape)[0], labelled, rng)
     kind = "linear" if not hidden else "fcnn"
     return Network(layers, input_shape, kind=kind, arch={"hidden": hidden, "seed": seed})
 
@@ -160,6 +190,26 @@ def _arch_config(d):
     if unknown:
         raise ValueError(f"unknown architecture config fields: {sorted(unknown)}")
     return ArchConfig(**d)
+
+
+def _weights_to_build(kind, arch, input_shape):
+    """count_weights(build_model(kind, arch, input_shape)) from the numbers alone, with
+    no allocation; raises ValueError, TypeError, ArithmeticError or ShapeError on
+    values the builders reject or that cannot be sized."""
+    arch, total = arch or resolve_arch(kind, {}), 0
+    if kind in DEFAULT_ARCH:
+        cfg = _arch_config(arch)
+        (c, h, w), k = input_shape, cfg.kernel
+        for _, f, stride, units, pooled in _cnn_stages(kind, cfg, input_shape):
+            total += f * (c * k + 1) + (units or 0) * 2 * f * (f * k + 1)
+            w = conv_out_width(w, k, stride)
+            if pooled:
+                w = conv_out_width(w, STEM_POOL, STEM_POOL_STRIDE)
+            c = f
+        widths = [c * h * w, cfg.head_units, 3]
+    else:
+        widths = _fcnn_widths(list(arch.get("hidden", [])), input_shape)
+    return total + sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
 def weights_millions(net):
@@ -210,7 +260,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: missing header line")
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
@@ -220,29 +270,39 @@ def load_checkpoint(path):
     for key, types in (("arch", dict), ("input_shape", list), ("norm_scale", (int, float, type(None)))):
         if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
             raise CheckpointError(f"{path}: header {key!r} has the wrong type")
-    try:
-        net = build_model(header["kind"], header["arch"], tuple(header["input_shape"]))
-    except (ValueError, TypeError, ShapeError) as e:
-        raise CheckpointError(f"{path}: cannot rebuild model: {e}") from e
+    # the header may describe only as many weights as the file holds, and the
+    # architecture must build exactly those, before anything is allocated
     declared = header["layers"]
+    try:
+        shapes = [shape for entry in declared for shape in entry["param_shapes"]]
+        for shape in shapes:
+            _check_sizes("param_shapes dimensions", shape, least=0)
+    except (TypeError, KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: header 'layers' has malformed param_shapes") from e
+    counts = [math.prod(shape) for shape in shapes]
+    need, held = sum(8 + 8 * n for n in counts), len(blob) - nl - 1
+    if held < need:
+        raise CheckpointError(f"{path}: truncated: header declares {need} parameter bytes, file holds {held}")
+    if held > need:
+        raise CheckpointError(f"{path}: {held - need} trailing bytes after parameters")
+    try:
+        planned = _weights_to_build(header["kind"], header["arch"], tuple(header["input_shape"]))
+        if planned != sum(counts):
+            raise CheckpointError(
+                f"{path}: header architecture builds {planned} weights, its layers declare {sum(counts)}")
+        net = build_model(header["kind"], header["arch"], tuple(header["input_shape"]))
+    except (ValueError, TypeError, ArithmeticError, ShapeError) as e:
+        raise CheckpointError(f"{path}: cannot rebuild model: {e}") from e
     rebuilt = [layer.describe() for layer in net.layers]
     if declared != rebuilt:
         raise CheckpointError(f"{path}: header layer list does not match rebuilt architecture")
 
     offset = nl + 1
     for label, p in net.named_params():
-        if offset + 8 > len(blob):
-            raise CheckpointError(f"{path}: truncated before blob for {label}")
         (count,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
         if count != p.size:
             raise CheckpointError(
                 f"{path}: blob for {label} holds {count} elements, layer needs {p.size}")
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated blob for {label}")
-        p.value[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(p.value.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
+        p.value[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset + 8).reshape(p.value.shape)
+        offset += 8 + 8 * count
     return net, header.get("norm_scale"), header.get("meta", {})

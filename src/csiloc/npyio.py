@@ -10,6 +10,7 @@ and the header; the checks on what a header declares are this module's.
 import io
 import math
 import tokenize
+import warnings
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -32,8 +33,14 @@ def read_npy(path):
         raise DataFormatError(
             f"{path}: unsupported NPY version {version[0]}.{version[1]}; only version 1.0 is supported")
     try:
-        shape, fortran, dtype = npy_format.read_array_header_1_0(stream)
-    except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError) as e:
+        # an invalid escape such as '\T' in the header text only warns (DeprecationWarning,
+        # SyntaxWarning from Python 3.12); as errors they make it a SyntaxError on every version.
+        # numpy's own deprecations (the 'a' dtype alias) then raise too, and map like the rest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", SyntaxWarning)
+            shape, fortran, dtype = npy_format.read_array_header_1_0(stream)
+    except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError, Warning) as e:
         raise DataFormatError(f"{path}: malformed NPY header: {e}") from e
     if fortran:
         raise DataFormatError(f"{path}: fortran_order NPY arrays are not supported (need C order)")

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -61,6 +64,77 @@ class TestConvForward:
             ours = conv.forward(x[None])[0]
             ref = naive_conv1xk(x, conv.w.value, conv.b.value, s, padding)
             npt.assert_array_equal(ours, ref)
+
+    @staticmethod
+    def naive_batch(conv, x):
+        return np.stack([naive_conv1xk(xi, conv.w.value, conv.b.value, conv.stride, conv.padding)
+                         for xi in x])
+
+    @pytest.mark.parametrize("view", ["transposed", "width_slice"])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_non_contiguous_input_bitwise(self, view, padding):
+        rng = np.random.default_rng(40)
+        conv = make_conv(3, 4, 5, 2, padding, seed=41)
+        if view == "transposed":  # a (B, C, H, W) view of (C, B, H, W) memory
+            x = rng.standard_normal((3, 2, 4, 23)).transpose(1, 0, 2, 3)
+        else:
+            x = rng.standard_normal((2, 3, 4, 40))[..., 5:31]
+        assert not x.flags.c_contiguous
+        npt.assert_array_equal(conv.forward(x), self.naive_batch(conv, x))
+
+    def test_residual_unit_padded_path_bitwise(self):
+        rng = np.random.default_rng(42)
+        unit = ResidualUnit(3, 4, rng=rng)
+        for p in unit.params():
+            p.value += rng.uniform(-0.2, 0.2, p.value.shape)
+        x = rng.standard_normal((2, 3, 5, 11))
+        mid = np.maximum(self.naive_batch(unit.conv_a, x), 0.0)
+        ref = np.maximum(self.naive_batch(unit.conv_b, mid) + x, 0.0)
+        npt.assert_array_equal(unit.forward(x), ref)
+
+    @pytest.mark.parametrize("b,h,w,k,s,padding", [
+        (1, 3, 20, 5, 2, "valid"), (4, 1, 20, 5, 2, "valid"), (3, 2, 5, 5, 1, "valid"),
+        (2, 3, 9, 4, 6, "valid"), (2, 3, 3, 3, 4, "same"), (1, 1, 1, 1, 1, "same"),
+    ])
+    def test_unit_axes_bitwise(self, b, h, w, k, s, padding):
+        conv = make_conv(2, 3, k, s, padding, seed=43)
+        x = np.random.default_rng(44).standard_normal((b, 2, h, w))
+        out = conv.forward(x)
+        assert 1 in out.shape
+        npt.assert_array_equal(out, self.naive_batch(conv, x))
+
+    @pytest.mark.parametrize("shape,k,s,padding", [
+        ((2, 3, 4, 20), 5, 2, "valid"), ((1, 3, 1, 7), 3, 1, "same"), ((3, 3, 2, 9), 9, 1, "valid"),
+    ])
+    def test_output_c_contiguous(self, shape, k, s, padding):
+        out = make_conv(3, 5, k, s, padding).forward(np.ones(shape))
+        assert out.flags.c_contiguous and out.shape[:3] == (shape[0], 5, shape[2])
+
+    def test_threads_share_a_layer(self):
+        """Threads running one layer's forward on different inputs get the serial bits."""
+        rng = np.random.default_rng(45)
+        conv = make_conv(4, 6, 5, 1, "same", seed=46)
+        xs = [rng.standard_normal((8, 4, 16, 64)) for _ in range(4)]  # more threads than cores
+        serial = [conv.forward(x).tobytes() for x in xs]
+        start = threading.Barrier(len(xs))
+        matches = [0] * len(xs)
+
+        def run(i):
+            start.wait()
+            for _ in range(5):
+                matches[i] += conv.forward(xs[i]).tobytes() == serial[i]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matches == [5] * len(xs)
 
     def test_same_padding_width(self):
         for w in range(1, 40):

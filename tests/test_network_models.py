@@ -1,11 +1,13 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csiloc import models
 from csiloc.errors import CheckpointError, ShapeError
@@ -160,6 +162,30 @@ class TestWeightCounts:
     def test_two_code_paths_agree(self):
         for net in (build_cnn4(), build_cnn4r(), build_cnn4s(), build_fcnn([]), build_fcnn([10])):
             assert count_weights(net) == sum(p.size for p in net.params())
+
+    @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
+    def test_count_without_building(self, kind):
+        """The loader's pre-build count equals count_weights of what build_model builds."""
+        cases = [({}, models.DEFAULT_INPUT_SHAPE)]
+        if kind in DEFAULT_ARCH:
+            archs = [DESK_ARCH, {"base_filters": 2, "kernel": 3, "stride": 1, "head_units": 16},
+                     {"base_filters": 3, "growth": 1.2, "kernel": 2, "stride": 2,
+                      "residual_units_per_block": 0, "head_units": 5}]
+        else:
+            archs = [{}] + ([{"hidden": [7, 3]}] if kind == "fcnn" else [])
+        cases += [(resolve_arch(kind, arch), shape) for arch in archs
+                  for shape in [(2, 16, 64), (2, 4, 60), (3, 5, 200)]]
+        built = 0
+        for arch, shape in cases:
+            try:
+                net = build_model(kind, arch, shape)
+            except ShapeError:  # the width chain underflows: the count must say so too
+                with pytest.raises(ShapeError):
+                    models._weights_to_build(kind, arch, shape)
+                continue
+            assert models._weights_to_build(kind, arch, shape) == count_weights(net)
+            built += 1
+        assert built >= 3
 
     def test_millions_formatting(self):
         assert weights_millions(build_fcnn([])) == 0.1
@@ -432,3 +458,148 @@ class TestCheckpoint:
         path.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + blob[nl:])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind,arch", [
+    ("cnn4r", {"residual_units_per_block": -2}), ("cnn4", {"kernel": 0}), ("cnn4s", {"stride": -1}),
+    ("cnn4r", {"head_units": 0}), ("fcnn", {"hidden": [4, 0]}),
+], ids=repr)
+def test_builders_reject_sizes_below_their_least(kind, arch):
+    """A negative unit count used to build a residual model with no units at all."""
+    with pytest.raises(ValueError, match=">="):
+        build_model(kind, resolve_arch(kind, arch), (2, 4, 60))
+
+
+def _edited_checkpoint(tmp_path, net, edit):
+    """Save net, apply edit(header) to the header JSON, write it back; return the path."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, net, norm_scale=1.0)
+    blob = path.read_bytes()
+    nl = blob.index(b"\n", len(b"CSILOC1\n"))
+    header = json.loads(blob[len(b"CSILOC1\n"):nl])
+    edit(header)
+    path.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + blob[nl:])
+    return path
+
+
+def _rejected_in_small_memory(path, match=None):
+    """load_checkpoint(path) raises CheckpointError having allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+class TestCheckpointBounds:
+    """Header values are checked against the declared weights before anything is built."""
+
+    @pytest.mark.parametrize("arch", [
+        {"base_filters": 1e308}, {"growth": 1e308}, {"residual_units_per_block": 10 ** 9},
+        {"head_units": 10 ** 12}, {"base_filters": 10 ** 9}, {"kernel": 10 ** 9}, {"stride": 0},
+        {"kernel": 3.0}, {"head_units": "16"},
+        # a negative size must not cancel a huge one in the weight count
+        {"head_units": -1}, {"base_filters": 10 ** 4, "head_units": -10 ** 6}, {"kernel": -3},
+        {"stride": -1}, {"residual_units_per_block": -1},
+        {"residual_units_per_block": 10 ** 4, "head_units": -10 ** 9},
+    ], ids=repr)
+    def test_arch_beyond_declared_weights(self, tmp_path, arch):
+        _rejected_in_small_memory(
+            _edited_checkpoint(tmp_path, build_tiny("cnn4r")[0], lambda h: h["arch"].update(arch)))
+
+    def test_negative_head_cannot_cancel_huge_convs(self, tmp_path):
+        """The count is affine in head_units; a negative one cancels all but a remainder
+        of the conv weights, and the header declares just that remainder."""
+        arch, shape = {**resolve_arch("cnn4r", {}), "base_filters": 10 ** 4, "kernel": 3, "stride": 2}, (2, 1, 31)
+        one, two = (models._weights_to_build("cnn4r", {**arch, "head_units": h}, shape) for h in (1, 2))
+        per_head, rest = two - one, 2 * one - two
+        declared = rest % per_head
+        header = {"kind": "cnn4r", "input_shape": list(shape),
+                  "arch": {**arch, "head_units": -(rest // per_head)},
+                  "layers": [{"kind": "dense", "param_shapes": [[declared]]}], "meta": {}, "norm_scale": None}
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + b"\n" + bytes(8 + 8 * declared))
+        _rejected_in_small_memory(path)
+
+    @pytest.mark.parametrize("edit", [
+        {"arch": {"hidden": [10 ** 12], "seed": 0}},
+        # widths [1, H, -2, 3] count 2H - 2H - 2 - 6 + 3 = -5 weights whatever H is
+        {"arch": {"hidden": [10 ** 10, -2], "seed": 0}, "input_shape": [1, 1, 1]},
+        # widths [1, H, -2, 1937, 3] count 3875 whatever H is: the tiny fcnn's declared weights
+        {"arch": {"hidden": [10 ** 10, -2, 1937], "seed": 0}, "input_shape": [1, 1, 1]},
+        {"arch": {"hidden": [8], "seed": 0}, "input_shape": [-2, 4, 60]},
+    ], ids=repr)
+    def test_hidden_units_beyond_declared_weights(self, tmp_path, edit):
+        _rejected_in_small_memory(
+            _edited_checkpoint(tmp_path, build_tiny("fcnn")[0], lambda h: h.update(edit)),
+            match="builds|cannot rebuild")
+
+    def test_negative_counts_cannot_balance_the_bytes(self, tmp_path):
+        """param_shapes [[-9], [], [], [], []] declare -5 weights in zero bytes, the count
+        the hidden widths [H, -2] give for any H: a file ending at the header is rejected."""
+        header = {"kind": "fcnn", "input_shape": [1, 1, 1], "arch": {"hidden": [10 ** 10, -2], "seed": 0},
+                  "layers": [{"kind": "dense", "param_shapes": [[-9], [], [], [], []]}],
+                  "meta": {}, "norm_scale": None}
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + b"\n")
+        _rejected_in_small_memory(path, match="param_shapes")
+
+    @pytest.mark.parametrize("shapes,match", [
+        ([[10 ** 6, 10 ** 6]], "truncated"), ([[1]], "trailing"), ([["8"]], "param_shapes"),
+        ([[1.0]], "param_shapes"), (5, "param_shapes"), ([[-1]], "param_shapes"),
+        ([[0]], "trailing"),
+    ], ids=repr)
+    def test_declared_shapes_must_fit_the_file(self, tmp_path, shapes, match):
+        def edit(header):
+            header["layers"][-1]["param_shapes"] = shapes
+        path = _edited_checkpoint(tmp_path, build_tiny("linear")[0], edit)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("which,kind", [("tiny", k) for k in sorted(models.MODEL_KINDS)]
+                             + [("desk", "cnn4"), ("desk", "cnn4r")])
+    def test_saved_models_load(self, tmp_path, which, kind):
+        net = _pinned_net(which, kind)
+        save_checkpoint(tmp_path / "c", net)
+        loaded, _, _ = load_checkpoint(tmp_path / "c")
+        for pa, pb in zip(net.params(), loaded.params()):
+            assert pa.value.tobytes() == pb.value.tobytes()
+
+
+@st.composite
+def _mangled_checkpoint(draw, blob):
+    """A valid checkpoint truncated, with bytes overwritten, or with header text replaced."""
+    blob = bytearray(blob)
+    nl = blob.index(b"\n", len(b"CSILOC1\n"))
+    how = draw(st.sampled_from(["truncate", "bytes", "header"]))
+    if how == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if how == "bytes":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(blob)
+    start = draw(st.integers(len(b"CSILOC1\n"), nl - 1))
+    stop = draw(st.integers(start, min(nl, start + 8)))
+    text = draw(st.text(alphabet='{}[]":,-.0123456789eE ', max_size=8)).encode()
+    return bytes(blob[:start] + text + blob[stop:])
+
+
+def test_property_only_checkpoint_errors(tmp_path):
+    """Mangled checkpoints raise CheckpointError or load as a network."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_tiny("cnn4r")[0], norm_scale=1.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_mangled_checkpoint(path.read_bytes()))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            net, _, _ = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert net.output_shape == (3,)
+
+    check()

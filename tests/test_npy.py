@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -107,6 +109,11 @@ CRAFTED_HEADERS = {
     "unindent": ("1\n  2\n 3", b""),
     "unhashable_key": ("{[1]: 2}", b""),
     "extra_key": (SHAPE_HEADER % "(1,), 'x': 0", bytes(4)),
+    # the later 'descr' wins, so the text is a valid header apart from its invalid
+    # escape, which Python only warns about, in a category that depends on its version
+    "invalid_escape": ("{'descr': '\\T', " + (SHAPE_HEADER % "(1,)")[1:], bytes(4)),
+    # numpy 2 deprecates the 'a' alias: the reader's warning filter must not let it escape
+    "deprecated_dtype_alias": ("{'descr': 'a4', 'fortran_order': False, 'shape': (1,)}", bytes(4)),
 }
 
 
@@ -116,6 +123,18 @@ def test_crafted_header_typed_error(tmp_path, case):
     path = craft_header(tmp_path / "c.npy", header, payload)
     with pytest.raises(DataFormatError):
         read_npy(path)
+
+
+@pytest.mark.parametrize("case", ["invalid_escape", "deprecated_dtype_alias"])
+@pytest.mark.parametrize("action", ["ignore", "always", "error"])
+def test_warning_headers_rejected_under_any_warning_filter(tmp_path, action, case):
+    """The reader, not the caller's warning filters, decides that these headers are errors."""
+    header, payload = CRAFTED_HEADERS[case]
+    path = craft_header(tmp_path / "e.npy", header, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(DataFormatError):
+            read_npy(path)
 
 
 def _valid_npy_blobs(tmp_path):
