@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import (CsiSample, Dataset, NormStats, SplitStrategy, SynthConfig,
+from .data import (Dataset, NormStats, SplitStrategy, SynthConfig,
                    apply_normalizer, channel_response, fit_normalizer,
                    generate_synthetic, import_npy, load_canonical, split,
                    split_indices, write_canonical)
@@ -10,7 +10,7 @@ from .errors import (CheckpointError, CsilocError, DataFormatError,
                      DegenerateGeometryError, ShapeError, TrainingDivergedError)
 from .evaluation import EvalReport, emit_reports, evaluate, mde, nmde, rmse
 from .layers import (AvgPool1xP, Conv1xK, Dense, Flatten, Param, ReLU,
-                     ResidualUnit, conv_out_width, residual_add, same_padding)
+                     ResidualUnit, conv_out_width, same_padding)
 from .models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r,
                      build_cnn4s, build_fcnn, build_model, count_weights,
                      load_checkpoint, save_checkpoint, weights_millions)

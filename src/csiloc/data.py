@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +23,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # guard band proportion of the source measurement: 50 of 1024 bins per side
 GUARD_FRACTION = 50.0 / 1024.0
-
-
-class CsiSample(NamedTuple):
-    csi: np.ndarray   # (2, A, W)
-    snr: np.ndarray   # (A,) dB
-    position: np.ndarray  # (x, y, z) meters
 
 
 @dataclass
@@ -69,9 +62,6 @@ class Dataset:
     @property
     def n_subcarriers(self):
         return self.csi.shape[3]
-
-    def sample(self, i) -> CsiSample:
-        return CsiSample(self.csi[i], self.snr[i], self.pos[i])
 
     def subset(self, indices):
         idx = np.asarray(indices, dtype=np.intp)
@@ -287,15 +277,15 @@ def channel_response(cfg: SynthConfig, positions, reflector_points=None, reflect
 _GEN_CHUNK = 256
 
 
-def generate_synthetic(cfg: SynthConfig, return_scene=False):
+def generate_synthetic(cfg: SynthConfig):
     """Seeded synthetic dataset; identical seed gives a bit-identical result.
 
     Transmitter positions are uniform over the configured extents (redrawn in
     the vanishingly rare case one lands within 1 cm of an antenna element).
     Per sample one target SNR is drawn; complex white noise is added per
     antenna to realize it, and the actually realized per-antenna SNR is what
-    lands in the snr field. With return_scene the fixed reflector geometry
-    comes back too, so the clean response can be reconstructed.
+    lands in the snr field. The fixed reflector geometry is the generator's
+    first draw, scene_reflectors(cfg, np.random.default_rng(cfg.seed)).
     """
     rng = np.random.default_rng(cfg.seed)
     ants = antenna_positions(cfg)
@@ -327,10 +317,7 @@ def generate_synthetic(cfg: SynthConfig, return_scene=False):
         csi[start:stop, 0] = h.real
         csi[start:stop, 1] = h.imag
         snr[start:stop] = 10.0 * np.log10(p_sig / p_noise)
-    ds = Dataset(csi, snr, pos, fc_hz=cfg.fc_hz, bandwidth_hz=cfg.bandwidth_hz)
-    if return_scene:
-        return ds, (refl_points, refl_gains)
-    return ds
+    return Dataset(csi, snr, pos, fc_hz=cfg.fc_hz, bandwidth_hz=cfg.bandwidth_hz)
 
 
 # --- normalization -----------------------------------------------------------

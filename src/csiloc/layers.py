@@ -13,6 +13,12 @@ forward runs that sequence in a filter-major (F, B*H*W_out) accumulator: per
 multiplies it by the tap's filter column and adds the product, so every ufunc
 sweeps long contiguous runs. The conv backward is one BLAS product per kernel
 tap: equal to the loop only to rounding.
+
+Layers keep no per-call state. `forward(x, tape)` pushes what its backward
+needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
+a network's backward pops in the reverse order of its forward. Without a
+tape (inference) nothing is kept: each activation is freed once the next
+layer is done with it, and concurrent forwards share nothing mutable.
 """
 
 import numpy as np
@@ -58,9 +64,11 @@ class Param:
 class Layer:
     """Forward/backward contract shared by all layers."""
 
-    label = ""
     kind = ""      # the layer's name in the checkpoint header
     fields = ()    # constructor arguments the checkpoint header records
+
+    def __init__(self, label=""):
+        self.label = label
 
     def named_params(self):
         """(name, Param) pairs in checkpoint order; names are relative to the layer."""
@@ -73,11 +81,22 @@ class Layer:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
+        """Output for x; with a tape, the backward context is pushed onto it."""
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, tape):
+        """Input gradient, with parameter gradients accumulated; pops the tape."""
         raise NotImplementedError
+
+    def _push(self, tape, ctx):
+        if tape is not None:
+            tape.append((self, ctx))
+
+    def _pop(self, tape):
+        if not tape or tape[-1][0] is not self:
+            raise ShapeError(f"{self.kind} backward without its forward context on the tape")
+        return tape.pop()[1]
 
     def out_shape(self, in_shape):
         """Symbolic per-sample shape walk; raises ShapeError on mismatch."""
@@ -120,7 +139,6 @@ class Conv1xK(Layer):
             weights = _he_uniform(rng, wshape, in_channels * kernel)
         self.w = Param(weights)
         self.b = Param(np.zeros(filters))
-        self._ctx = None
 
     def named_params(self):
         return [("weights", self.w), ("bias", self.b)]
@@ -130,7 +148,7 @@ class Conv1xK(Layer):
             return same_padding(width, self.kernel, self.stride)
         return 0, 0
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv {self.label or ''} expects (B,{self.in_channels},H,W), got {x.shape}")
@@ -155,13 +173,11 @@ class Conv1xK(Layer):
         del tmp  # before the output copy, so at most two output-sized arrays are live
         acc += self.b.value[:, None]
         out = np.ascontiguousarray(acc.reshape(f, batch, height, w_out).transpose(1, 0, 2, 3))
-        self._ctx = (xp, x.shape[3], left, w_out)
+        self._push(tape, (xp, x.shape[3], left, w_out))
         return out
 
-    def backward(self, grad_out):
-        if self._ctx is None:
-            raise ShapeError("conv backward called before forward")
-        xp, in_width, left, w_out = self._ctx
+    def backward(self, grad_out, tape):
+        xp, in_width, left, w_out = self._pop(tape)
         expect = (xp.shape[0], self.filters, xp.shape[2], w_out)
         if grad_out.shape != expect:
             raise ShapeError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
@@ -189,18 +205,16 @@ class ReLU(Layer):
 
     kind = "relu"
 
-    def __init__(self, label=""):
-        self.label = label
-        self._mask = None
-
-    def forward(self, x):
-        self._mask = x > 0
+    def forward(self, x, tape=None):
+        if tape is not None:
+            self._push(tape, x > 0)
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out):
-        if self._mask is None or grad_out.shape != self._mask.shape:
+    def backward(self, grad_out, tape):
+        mask = self._pop(tape)
+        if grad_out.shape != mask.shape:
             raise ShapeError("relu grad_out shape does not match forward input")
-        return grad_out * self._mask
+        return grad_out * mask
 
     def out_shape(self, in_shape):
         return tuple(in_shape)
@@ -216,9 +230,8 @@ class AvgPool1xP(Layer):
         self.pool = pool
         self.stride = stride
         self.label = label
-        self._ctx = None
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         if x.ndim != 4:
             raise ShapeError(f"avgpool expects (B,C,H,W), got {x.shape}")
         w_out = conv_out_width(x.shape[3], self.pool, self.stride)
@@ -227,13 +240,11 @@ class AvgPool1xP(Layer):
         for t in range(self.pool):
             out += x[:, :, :, t:t + s * w_out:s]
         out /= self.pool
-        self._ctx = (x.shape, w_out)
+        self._push(tape, (x.shape, w_out))
         return out
 
-    def backward(self, grad_out):
-        if self._ctx is None:
-            raise ShapeError("avgpool backward called before forward")
-        in_shape, w_out = self._ctx
+    def backward(self, grad_out, tape):
+        in_shape, w_out = self._pop(tape)
         if grad_out.shape != in_shape[:3] + (w_out,):
             raise ShapeError(f"avgpool grad_out shape {grad_out.shape} does not match forward")
         s = self.stride
@@ -253,20 +264,14 @@ class Flatten(Layer):
 
     kind = "flatten"
 
-    def __init__(self, label=""):
-        self.label = label
-        self._in_shape = None
-
-    def forward(self, x):
+    def forward(self, x, tape=None):
         if x.ndim != 4:
             raise ShapeError(f"flatten expects (B,C,H,W), got {x.shape}")
-        self._in_shape = x.shape
+        self._push(tape, x.shape)
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out):
-        if self._in_shape is None:
-            raise ShapeError("flatten backward called before forward")
-        return grad_out.reshape(self._in_shape)
+    def backward(self, grad_out, tape):
+        return grad_out.reshape(self._pop(tape))
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -289,22 +294,22 @@ class Dense(Layer):
             weights = _he_uniform(rng, (units, in_features), in_features)
         self.w = Param(weights)
         self.b = Param(np.zeros(units))
-        self._x = None
 
     def named_params(self):
         return [("weights", self.w), ("bias", self.b)]
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"dense {self.label or ''} expects (B,{self.in_features}), got {x.shape}")
-        self._x = x
+        self._push(tape, x)
         return x @ self.w.value.T + self.b.value[None, :]
 
-    def backward(self, grad_out):
-        if self._x is None or grad_out.shape != (self._x.shape[0], self.units):
+    def backward(self, grad_out, tape):
+        x = self._pop(tape)
+        if grad_out.shape != (x.shape[0], self.units):
             raise ShapeError("dense grad_out shape does not match forward")
-        self.w.grad += grad_out.T @ self._x
+        self.w.grad += grad_out.T @ x
         self.b.grad += grad_out.sum(axis=0)
         return grad_out @ self.w.value
 
@@ -314,18 +319,12 @@ class Dense(Layer):
         return (self.units,)
 
 
-def residual_add(main, skip):
-    """Elementwise sum of two identically shaped tensors (the identity skip)."""
-    if main.shape != skip.shape:
-        raise ShapeError(f"residual add of mismatched shapes {main.shape} vs {skip.shape}")
-    return main + skip
-
-
 class ResidualUnit(Layer):
     """conv(same,s=1)+ReLU -> conv(same,s=1), plus identity skip, then ReLU.
 
     Same padding keeps (F, H, W) unchanged so the skip is always shape-legal;
-    the backward duplicates the incoming gradient into both branches.
+    the backward duplicates the incoming gradient into both branches. The
+    unit's context is its four sub-layers' entries on the tape.
     """
 
     kind = "residual_unit"
@@ -346,13 +345,13 @@ class ResidualUnit(Layer):
         return [(f"{name}.{sub}", p) for name, conv in (("conv_a", self.conv_a), ("conv_b", self.conv_b))
                 for sub, p in conv.named_params()]
 
-    def forward(self, x):
-        h = self.conv_b.forward(self.relu_mid.forward(self.conv_a.forward(x)))
-        return self.relu_out.forward(residual_add(h, x))
+    def forward(self, x, tape=None):
+        h = self.conv_b.forward(self.relu_mid.forward(self.conv_a.forward(x, tape), tape), tape)
+        return self.relu_out.forward(h + x, tape)
 
-    def backward(self, grad_out):
-        g = self.relu_out.backward(grad_out)
-        g_main = self.conv_a.backward(self.relu_mid.backward(self.conv_b.backward(g)))
+    def backward(self, grad_out, tape):
+        g = self.relu_out.backward(grad_out, tape)
+        g_main = self.conv_a.backward(self.relu_mid.backward(self.conv_b.backward(g, tape), tape), tape)
         return g_main + g
 
     def out_shape(self, in_shape):

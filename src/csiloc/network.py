@@ -3,6 +3,8 @@
 A network maps a (B, 2, H, W) CSI batch (or (B, n) for pure dense stacks)
 to (B, 3) position estimates in meters. Construction walks the symbolic
 shape chain before any numeric work, so inconsistent geometry fails fast.
+Training passes a fresh tape (a list) to forward and the same tape to
+backward; inference passes none, so the network keeps no activations.
 """
 
 import numpy as np
@@ -28,21 +30,18 @@ class Network:
             if not isinstance(self.layers[-1], Dense):
                 raise ShapeError("final layer must be a linear dense head")
 
-    def forward(self, x):
+    def forward(self, x, tape=None):
         x = np.asarray(x, dtype=float)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"batch shape {x.shape} does not match input {self.input_shape}")
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, tape)
         return x
 
-    def forward_one(self, sample):
-        return self.forward(np.asarray(sample)[None])[0]
-
-    def backward(self, grad_out):
+    def backward(self, grad_out, tape):
         g = grad_out
         for layer in reversed(self.layers):
-            g = layer.backward(g)
+            g = layer.backward(g, tape)
         return g
 
     def params(self):
@@ -145,8 +144,9 @@ def gradient_check(net, x, target, step=1e-6):
         return loss
 
     net.zero_grads()
-    _, grad = mde_loss(net.forward(x), target)
-    net.backward(grad)
+    tape = []
+    _, grad = mde_loss(net.forward(x, tape), target)
+    net.backward(grad, tape)
 
     result = GradCheckResult(max_rel_err=0.0, n_params=count_weights(net))
     for label, p in net.named_params():

@@ -162,13 +162,14 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]   # gathered per batch: a whole-set gather is a full copy
             net.zero_grads()
-            pred = net.forward(ds.csi[batch])
+            tape = []
+            pred = net.forward(ds.csi[batch], tape)
             loss, grad = mde_loss(pred, ds.pos[batch])
             if not np.isfinite(loss):
                 history.stop_reason = "diverged"
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch}", history)
-            net.backward(grad)
+            net.backward(grad, tape)
             try:
                 sgd_momentum_step(params, sched.lr, cfg.momentum)
             except TrainingDivergedError as e:

@@ -80,8 +80,9 @@ def fd_layer_check(layer, x, rng, step=1e-6, check_input=True):
         return float((proj * layer.forward(x)).sum())
 
     layer.zero_grads()
-    layer.forward(x)
-    grad_in = layer.backward(proj)
+    tape = []
+    layer.forward(x, tape)
+    grad_in = layer.backward(proj, tape)
 
     worst = 0.0
     arrays = [(p.value, p.grad) for p in layer.params()]

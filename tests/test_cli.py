@@ -240,8 +240,8 @@ class TestGradcheckCommand:
         # negative control: break the dense backward and expect a failure
         original = layers.Dense.backward
 
-        def corrupted(self, grad_out):
-            grad_in = original(self, grad_out)
+        def corrupted(self, grad_out, tape):
+            grad_in = original(self, grad_out, tape)
             self.w.grad *= 1.25
             return grad_in
 

@@ -1,5 +1,8 @@
 import json
 import math
+import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +10,12 @@ import pytest
 
 from csiloc.data import Dataset, NormStats, fit_normalizer
 from csiloc.errors import CsilocError
-from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, rmse
-from csiloc.models import build_fcnn, count_weights
+from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, predict, rmse
+from csiloc.layers import ResidualUnit
+from csiloc.models import ArchConfig, build_fcnn, build_model, count_weights, resolve_arch
+from csiloc.network import build_tiny
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_mde(errors):
@@ -239,3 +246,46 @@ class TestEmitReports:
         b = emit_reports(report, tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
+
+
+def _arrays_held(layer):
+    """Names of the layer's attributes that hold an ndarray, directly or in a tuple or list."""
+    def holds(value):
+        if isinstance(value, (tuple, list)):
+            return any(holds(v) for v in value)
+        return isinstance(value, np.ndarray)
+    return [name for name, value in vars(layer).items() if holds(value)]
+
+
+class TestStatelessInference:
+    """predict keeps nothing on the layers, so its threads share no mutable state."""
+
+    def test_no_layer_state_after_threaded_predict(self, monkeypatch):
+        net, _, _ = build_tiny("cnn4r")
+        x = np.random.default_rng(30).standard_normal((2 * 256 + 1,) + net.input_shape)  # three chunks
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = predict(net, x)
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        npt.assert_array_equal(predict(net, x), serial)
+        layers = list(net.layers)
+        for unit in [layer for layer in layers if isinstance(layer, ResidualUnit)]:
+            layers += [unit.conv_a, unit.relu_mid, unit.conv_b, unit.relu_out]
+        assert len(layers) > len(net.layers)
+        held = {layer.label: _arrays_held(layer) for layer in layers}
+        assert not any(held.values()), held
+
+    def test_desk_cnn4r_predict_memory(self):
+        flat = json.loads((CONFIGS / "desk64_cnn4.json").read_text())
+        arch_fields = {f.name for f in fields(ArchConfig)}
+        arch = resolve_arch("cnn4r", {k: v for k, v in flat.items() if k in arch_fields})
+        net = build_model("cnn4r", arch, (2, 16, 64))
+        x = np.random.default_rng(31).standard_normal((128, 2, 16, 64))
+        tracemalloc.start()
+        try:
+            out = predict(net, x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (128, 3)
+        assert peak < 40e6   # each layer's input is freed once the next layer has its output
+        assert held < 1e6    # no activations stay on the layers

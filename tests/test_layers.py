@@ -4,10 +4,11 @@ import threading
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csiloc.errors import ShapeError
 from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit,
-                           conv_out_width, residual_add, same_padding)
+                           conv_out_width, same_padding)
 
 from conftest import fd_layer_check, naive_avgpool1xp, naive_conv1xk, naive_conv1xk_backward
 
@@ -173,8 +174,9 @@ class TestConvBackward:
     def test_zero_grad_out(self):
         conv = make_conv(2, 3, 3, 2, seed=8)
         x = np.random.default_rng(9).standard_normal((2, 2, 2, 11))
-        out = conv.forward(x)
-        gx = conv.backward(np.zeros_like(out))
+        tape = []
+        out = conv.forward(x, tape)
+        gx = conv.backward(np.zeros_like(out), tape)
         assert not gx.any() and not conv.w.grad.any() and not conv.b.grad.any()
 
     def test_fd_small(self):
@@ -203,14 +205,11 @@ class TestConvBackward:
     def test_bias_grad_is_output_position_count(self):
         conv = make_conv(2, 3, 3, 2, seed=14)
         x = np.random.default_rng(15).standard_normal((1, 2, 4, 11))
-        out = conv.forward(x)
+        tape = []
+        out = conv.forward(x, tape)
         conv.zero_grads()
-        conv.backward(np.ones_like(out))  # sum-loss
+        conv.backward(np.ones_like(out), tape)  # sum-loss
         npt.assert_array_equal(conv.b.grad, np.full(3, out.shape[2] * out.shape[3]))
-
-    def test_backward_before_forward(self):
-        with pytest.raises(ShapeError):
-            Conv1xK(1, 1, 3, 1).backward(np.zeros((1, 1, 1, 3)))
 
     # (C, F, W, k, s, padding); None is drawn at random per trial
     @pytest.mark.parametrize("case", [
@@ -230,11 +229,12 @@ class TestConvBackward:
             padding = padding or ("valid" if rng.integers(2) else "same")
             conv = make_conv(c, f, k, s, padding, seed=int(rng.integers(1 << 30)))
             x = rng.standard_normal((int(rng.integers(1, 4)), c, int(rng.integers(1, 4)), w))
-            out = conv.forward(x)
+            tape = []
+            out = conv.forward(x, tape)
             gw, gb = np.zeros_like(conv.w.value), np.zeros_like(conv.b.value)
             for _ in range(2):  # the second call must accumulate onto the first
                 grad_out = rng.standard_normal(out.shape)
-                gx = conv.backward(grad_out)
+                gx = conv.backward(grad_out, list(tape))
                 ref_gx = naive_conv1xk_backward(x, conv.w.value, grad_out, s, padding, gw, gb)
                 npt.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12 * np.abs(ref_gx).max())
                 npt.assert_allclose(conv.w.grad, gw, rtol=0, atol=1e-12 * np.abs(gw).max())
@@ -247,9 +247,30 @@ class TestConvBackward:
 
     def test_grad_out_shape_mismatch(self):
         conv = make_conv(1, 2, 3, 1, seed=16)
-        conv.forward(np.zeros((1, 1, 1, 8)))
+        tape = []
+        conv.forward(np.zeros((1, 1, 1, 8)), tape)
         with pytest.raises(ShapeError):
-            conv.backward(np.zeros((1, 2, 1, 99)))
+            conv.backward(np.zeros((1, 2, 1, 99)), tape)
+
+
+@pytest.mark.parametrize("layer", [
+    Conv1xK(1, 1, 3, 1), ReLU(), AvgPool1xP(2, 1), Flatten(), Dense(3, 1), ResidualUnit(1, 3),
+], ids=lambda layer: type(layer).__name__)
+def test_backward_before_forward(layer):
+    """A backward with no forward context on its tape raises ShapeError, for every layer."""
+    with pytest.raises(ShapeError, match="forward context"):
+        layer.backward(np.zeros((1, 1, 1, 3)), [])
+
+
+def test_backward_pops_only_its_own_context():
+    first, second = ReLU(), ReLU()
+    tape = []
+    first.forward(np.ones(3), tape)
+    with pytest.raises(ShapeError, match="forward context"):
+        second.backward(np.ones(3), tape)
+    assert len(tape) == 1
+    npt.assert_array_equal(first.backward(np.ones(3), tape), np.ones(3))
+    assert tape == []
 
 
 class TestReLU:
@@ -260,14 +281,16 @@ class TestReLU:
     def test_positive_identity(self):
         relu = ReLU()
         x = np.abs(np.random.default_rng(17).standard_normal((2, 3))) + 0.1
-        npt.assert_array_equal(relu.forward(x), x)
+        tape = []
+        npt.assert_array_equal(relu.forward(x, tape), x)
         g = np.random.default_rng(18).standard_normal((2, 3))
-        npt.assert_array_equal(relu.backward(g), g)
+        npt.assert_array_equal(relu.backward(g, tape), g)
 
     def test_subgradient_zero_at_zero(self):
         relu = ReLU()
-        relu.forward(np.array([0.0, -0.0, 1.0]))
-        npt.assert_array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
+        tape = []
+        relu.forward(np.array([0.0, -0.0, 1.0]), tape)
+        npt.assert_array_equal(relu.backward(np.ones(3), tape), [0.0, 0.0, 1.0])
 
     def test_fd_away_from_zero(self):
         rng = np.random.default_rng(19)
@@ -340,15 +363,6 @@ class TestDense:
 
 
 class TestResidual:
-    def test_add_examples(self):
-        x = np.random.default_rng(25).standard_normal((2, 3))
-        npt.assert_array_equal(residual_add(x, -x), np.zeros((2, 3)))
-        npt.assert_array_equal(residual_add(x, np.zeros((2, 3))), x)
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            residual_add(np.zeros((2, 3)), np.zeros((3, 2)))
-
     def test_unit_preserves_shape(self):
         unit = ResidualUnit(3, 7, rng=np.random.default_rng(26))
         x = np.random.default_rng(27).standard_normal((2, 3, 4, 20))
@@ -390,3 +404,32 @@ class TestWidthFormulaSweep:
         left, right = same_padding(10, 7, 1)
         assert (left, right) == (3, 3)
         assert same_padding(10, 4, 1) == (1, 2)
+
+
+def _naive_windows(width, kernel, stride):
+    """Start positions of the kernel windows that fit in the width, counted one by one."""
+    count, start = 0, 0
+    while start + kernel <= width:
+        count, start = count + 1, start + stride
+    return count
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 9), st.integers(1, 5))
+def test_property_width_formulas(width, kernel, stride):
+    """conv_out_width counts the windows or raises ShapeError; same padding gives ceil(W/s) by the least pad."""
+    windows = _naive_windows(width, kernel, stride)
+    if windows == 0:
+        with pytest.raises(ShapeError):
+            conv_out_width(width, kernel, stride)
+    else:
+        assert conv_out_width(width, kernel, stride) == windows
+    want = 1
+    while want * stride < width:
+        want += 1
+    pad = 0
+    while _naive_windows(width + pad, kernel, stride) < want:
+        pad += 1
+    left, right = same_padding(width, kernel, stride)
+    assert (left, right) == (pad // 2, pad - pad // 2)
+    assert conv_out_width(width + left + right, kernel, stride) == want

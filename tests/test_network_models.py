@@ -201,10 +201,6 @@ class TestForward:
                                          head_units=8, seed=1), (2, 4, 60))
         self.rng = np.random.default_rng(2)
 
-    def test_batch_of_one_equals_single(self):
-        x = self.rng.standard_normal((2, 4, 60))
-        npt.assert_array_equal(self.net.forward(x[None])[0], self.net.forward_one(x))
-
     def test_duplicated_sample_duplicated_rows(self):
         x = self.rng.standard_normal((2, 4, 60))
         out = self.net.forward(np.stack([x, x, x]))
@@ -220,7 +216,7 @@ class TestForward:
     def test_batch_vs_samplewise(self):
         batch = self.rng.standard_normal((5, 2, 4, 60))
         whole = self.net.forward(batch)
-        single = np.stack([self.net.forward_one(s) for s in batch])
+        single = np.stack([self.net.forward(s[None])[0] for s in batch])
         npt.assert_allclose(whole, single, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):

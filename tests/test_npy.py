@@ -40,7 +40,7 @@ class TestReader:
         craft_npy(tmp_path / "pos.npy", "<f4", (1, 3), np.ones(3, "<f4").tobytes())
         ds = import_npy(tmp_path / "csi.npy", tmp_path / "snr.npy", tmp_path / "pos.npy")
         assert len(ds) == 1
-        assert ds.sample(0).csi.shape == (2, 16, 4)
+        assert ds.csi[0].shape == (2, 16, 4)
 
     def test_complex_re_im_planes(self, tmp_path):
         h = np.array([[[1 + 2j, 3 - 4j]]], dtype="<c8")  # (1, 1, 2)

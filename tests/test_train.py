@@ -238,8 +238,9 @@ class TestTrainLoop:
         x, y = ds.csi[:16], ds.pos[:16]
         loss0, grad = mde_loss(net.forward(x), y)
         net.zero_grads()
-        net.forward(x)
-        net.backward(grad)
+        tape = []
+        net.forward(x, tape)
+        net.backward(grad, tape)
         sgd_momentum_step(net.params(), lr=1e-6, momentum=0.0)
         loss1, _ = mde_loss(net.forward(x), y)
         assert loss1 < loss0
