@@ -15,8 +15,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (NormStats, SplitStrategy, SynthConfig, apply_normalizer, fit_normalizer,
-                   generate_synthetic, import_npy, load_canonical, split, write_canonical)
+from .data import (NormStats, SplitStrategy, SynthConfig, fit_normalizer, generate_synthetic,
+                   import_npy, load_canonical, split, write_canonical)
 from .errors import CsilocError
 from .models import (ArchConfig, MODEL_KINDS, build_model, count_weights, load_checkpoint,
                      resolve_arch, save_checkpoint, weights_millions)
@@ -157,11 +157,10 @@ def cmd_train(args):
     net = build_model(args.model, arch, (2, ds.n_antennas, ds.n_subcarriers))
 
     norm = fit_normalizer(ds)
-    ds = apply_normalizer(ds, norm)   # the loaded float32 CSI is freed here
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.ckpt"
-    net, history = train(net, ds, train_cfg, checkpoint_path=ckpt, checkpoint_norm_scale=norm.scale)
+    net, history = train(net, ds, train_cfg, norm, checkpoint_path=ckpt)
     save_checkpoint(ckpt, net, norm_scale=norm.scale,
                     meta={"stop_reason": history.stop_reason, "epochs": len(history.records)})
     history.to_csv(out / "history.csv")

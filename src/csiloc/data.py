@@ -5,12 +5,13 @@ A dataset is a batch of labeled fingerprints: CSI as (N, 2, A, W) (Re/Im
 channels first, A antennas, W subcarriers), per-antenna SNR in dB, and 3-D
 transmitter positions in meters in the dataset's native frame. CSI read from
 a container or a float32/complex64 NPY stays float32, as a view of the bytes
-read; any other CSI is float64. apply_normalizer makes the one float64 copy
-that training and evaluation compute on. SNR and positions are float64.
+read; any other CSI is float64, and apply_normalizer makes each batch that
+enters the network float64. SNR and positions are float64.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ class Dataset:
     frame: str = "native"
 
     def __post_init__(self):
-        csi = np.asarray(self.csi)   # float32 stays float32; apply_normalizer makes the float64 copy
+        csi = np.asarray(self.csi)   # float32 stays float32 until apply_normalizer
         self.csi = csi if csi.dtype == np.float32 else csi.astype(np.float64, copy=False)
         self.snr = np.asarray(self.snr, dtype=np.float64)
         self.pos = np.asarray(self.pos, dtype=np.float64)
@@ -187,7 +188,6 @@ class SynthConfig:
     bandwidth_hz: float = 20e6
     array_rows: int = 2            # stacked along z
     array_cols: int = 8            # spread along y
-    element_spacing_m: float | None = None   # half wavelength at fc when None
     x_range: tuple = (1.0, 5.0)
     y_range: tuple = (-1.0, 1.0)
     z_range: tuple = (0.8, 1.2)
@@ -210,18 +210,12 @@ class SynthConfig:
         if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
             raise ValueError("table extents must be positive")
 
-    @property
-    def spacing(self):
-        if self.element_spacing_m is not None:
-            return self.element_spacing_m
-        return SPEED_OF_LIGHT / self.fc_hz / 2.0
-
 
 def antenna_positions(cfg: SynthConfig):
-    """(A, 3) element positions: grid in the x=0 plane, centered on the y axis,
-    rows stacked around the middle of the z range."""
+    """(A, 3) element positions: half-wavelength grid in the x=0 plane, centered
+    on the y axis, rows stacked around the middle of the z range."""
     z_mid = 0.5 * (cfg.z_range[0] + cfg.z_range[1])
-    d = cfg.spacing
+    d = SPEED_OF_LIGHT / cfg.fc_hz / 2.0
     rows = np.arange(cfg.array_rows) - (cfg.array_rows - 1) / 2.0
     cols = np.arange(cfg.array_cols) - (cfg.array_cols - 1) / 2.0
     grid = [(0.0, c * d, z_mid + r * d) for r in rows for c in cols]
@@ -329,8 +323,8 @@ class NormStats:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale <= sys.float_info.max:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
@@ -344,9 +338,9 @@ def fit_normalizer(train: Dataset) -> NormStats:
     return NormStats(scale)
 
 
-def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
-    """The float64 CSI that training and evaluation compute on; snr and pos are shared."""
-    return replace(ds, csi=np.divide(ds.csi, stats.scale, dtype=np.float64))
+def apply_normalizer(csi, stats: NormStats):
+    """A gathered batch or chunk of CSI as the float64 array the network computes on."""
+    return np.divide(csi, stats.scale, dtype=np.float64)
 
 
 # --- splits ------------------------------------------------------------------

@@ -80,29 +80,35 @@ def _threads():
     return int(cap)
 
 
-def predict(net, x):
-    """Position estimates for a batch, forwarded in fixed-size chunks.
-
-    Up to CSILOC_THREADS workers run the chunks; results are gathered in
-    submission order, so they do not depend on the worker count.
+def predict(net, x, norm):
+    """Position estimates for raw CSI, divided by norm's scale and forwarded in
+    fixed-size chunks, so only the chunks in flight are float64. Up to
+    CSILOC_THREADS workers run the chunks; results are gathered in submission
+    order, so they do not depend on the worker count.
     """
+    def forward(chunk):
+        return net.forward(apply_normalizer(chunk, norm))
+
     chunks = [x[s:s + _EVAL_CHUNK] for s in range(0, len(x), _EVAL_CHUNK)]
     workers = min(_threads(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.vstack(list(pool.map(net.forward, chunks)))
-    return np.vstack([net.forward(c) for c in chunks])
+            return np.vstack(list(pool.map(forward, chunks)))
+    return np.vstack([forward(c) for c in chunks])
 
 
 def evaluate(model, eval_set: Dataset, norm: NormStats, metadata=None) -> EvalReport:
-    """Forward pass over the (normalizer-applied) evaluation set, and its metrics."""
+    """Forward pass over the raw evaluation set, and its metrics. A non-finite
+    estimate (a non-finite weight, CSI that overflows when divided) raises."""
     if eval_set.n_subcarriers != model.input_shape[2] or eval_set.n_antennas != model.input_shape[1]:
         raise ValueError(
             f"model expects input {model.input_shape}, dataset provides "
             f"(2, {eval_set.n_antennas}, {eval_set.n_subcarriers})")
-    ds = apply_normalizer(eval_set, norm)
-    estimate = predict(model, ds.csi)
-    truth = ds.pos
+    estimate = predict(model, eval_set.csi, norm)
+    bad = np.flatnonzero(~np.isfinite(estimate).all(axis=1))
+    if bad.size:
+        raise CsilocError(f"non-finite position estimates for {bad.size} of {len(estimate)} samples")
+    truth = eval_set.pos
     dist = np.linalg.norm(truth - estimate, axis=1)
     norm_truth = np.linalg.norm(truth, axis=1)
     mde_v = mde(dist)

@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass, asdict
 from functools import partial
 from pathlib import Path
@@ -270,6 +271,9 @@ def load_checkpoint(path):
     for key, types in (("arch", dict), ("input_shape", list), ("norm_scale", (int, float, type(None)))):
         if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
             raise CheckpointError(f"{path}: header {key!r} has the wrong type")
+    scale = header.get("norm_scale")
+    if scale is not None and not 0 < scale <= sys.float_info.max:
+        raise CheckpointError(f"{path}: header 'norm_scale' must be finite and > 0, got {scale!r}")
     # the header may describe only as many weights as the file holds, and the
     # architecture must build exactly those, before anything is allocated
     declared = header["layers"]
@@ -305,4 +309,4 @@ def load_checkpoint(path):
                 f"{path}: blob for {label} holds {count} elements, layer needs {p.size}")
         p.value[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset + 8).reshape(p.value.shape)
         offset += 8 + 8 * count
-    return net, header.get("norm_scale"), header.get("meta", {})
+    return net, scale, header.get("meta", {})

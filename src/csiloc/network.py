@@ -15,7 +15,7 @@ from .layers import Dense
 
 
 class Network:
-    def __init__(self, layers, input_shape, kind="custom", arch=None, check_head=True):
+    def __init__(self, layers, input_shape, kind="custom", arch=None):
         self.layers = list(layers)
         self.input_shape = tuple(int(v) for v in input_shape)
         self.kind = kind
@@ -24,11 +24,10 @@ class Network:
         for layer in self.layers:
             shape = layer.out_shape(shape)
         self.output_shape = shape
-        if check_head:
-            if shape != (3,):
-                raise ShapeError(f"network must end in 3 outputs, got {shape}")
-            if not isinstance(self.layers[-1], Dense):
-                raise ShapeError("final layer must be a linear dense head")
+        if shape != (3,):
+            raise ShapeError(f"network must end in 3 outputs, got {shape}")
+        if not isinstance(self.layers[-1], Dense):
+            raise ShapeError("final layer must be a linear dense head")
 
     def forward(self, x, tape=None):
         x = np.asarray(x, dtype=float)
@@ -118,15 +117,14 @@ class GradCheckResult:
     fd: float = 0.0
 
     def __str__(self):
-        if self.n_params == 0:
-            return "no parameters; max relative error vacuously 0"
         return (f"max relative error {self.max_rel_err:.3e} over {self.n_params} parameters "
                 f"(worst at {self.worst_param}[{self.worst_index}]: "
                 f"analytic {self.analytic:.6e}, fd {self.fd:.6e})")
 
 
 def gradient_check(net, x, target, step=1e-6):
-    """Central finite differences of the distance loss over every parameter.
+    """Central finite differences of the distance loss over every parameter, at
+    a batch x of shape (B,) + net.input_shape.
 
     Relative error per parameter is |analytic - fd| / max(|analytic|, |fd|, 1e-12).
     O(P) forward passes; meant for shrunken configurations only.
@@ -135,9 +133,6 @@ def gradient_check(net, x, target, step=1e-6):
 
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
-    if x.shape == net.input_shape:
-        x = x[None]
-        target = target[None]
 
     def loss_value():
         loss, _ = mde_loss(net.forward(x), target)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import round_half_up
+from .data import NormStats, apply_normalizer, round_half_up
 from .errors import ShapeError, TrainingDivergedError
 from .evaluation import _threads, mde, predict, write_csv
 
@@ -123,16 +123,16 @@ class TrainHistory:
                   ((r.epoch, r.train_mde, r.monitor_mde, r.lr, r.seconds) for r in self.records))
 
 
-def _batched_mde(net, x, y):
-    return mde(np.linalg.norm(predict(net, x) - y, axis=1))
+def _batched_mde(net, x, y, norm):
+    return mde(np.linalg.norm(predict(net, x, norm) - y, axis=1))
 
 
-def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
-          checkpoint_norm_scale=None):
+def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, checkpoint_path=None):
     """Train in place; returns (net, TrainHistory) with best-monitor weights restored.
 
-    monitor_fn(net, epoch) may replace the internal-holdout monitor (used by
-    tests to drive the schedule). With checkpoint_path set, the weights are
+    Each batch gathered from the raw ds is divided by norm. monitor_fn(net,
+    epoch) may replace the internal-holdout monitor (used by tests to drive
+    the schedule). With checkpoint_path set, the weights and norm's scale are
     written there every time the monitor improves.
     """
     _threads()  # a malformed CSILOC_THREADS fails here, not after the first epoch
@@ -163,7 +163,7 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
             batch = order[start:start + cfg.batch_size]   # gathered per batch: a whole-set gather is a full copy
             net.zero_grads()
             tape = []
-            pred = net.forward(ds.csi[batch], tape)
+            pred = net.forward(apply_normalizer(ds.csi[batch], norm), tape)
             loss, grad = mde_loss(pred, ds.pos[batch])
             if not np.isfinite(loss):
                 history.stop_reason = "diverged"
@@ -177,14 +177,14 @@ def train(net, ds, cfg: TrainConfig, monitor_fn=None, checkpoint_path=None,
                 raise TrainingDivergedError(f"{e} (epoch {epoch})", history) from e
             running += loss * len(batch)
         train_mde = running / len(order)
-        monitor = monitor_fn(net, epoch) if monitor_fn else _batched_mde(net, x_mon, y_mon)
+        monitor = monitor_fn(net, epoch) if monitor_fn else _batched_mde(net, x_mon, y_mon, norm)
         improved, should_stop = sched.update(monitor)
         if monitor < best_monitor:
             best_monitor = monitor
             best_values = net.snapshot()
             if checkpoint_path is not None:
                 from .models import save_checkpoint
-                save_checkpoint(checkpoint_path, net, norm_scale=checkpoint_norm_scale,
+                save_checkpoint(checkpoint_path, net, norm_scale=norm.scale,
                                 meta={"epoch": epoch, "monitor_mde": monitor})
         history.records.append(EpochRecord(epoch, train_mde, monitor, lr_used,
                                            time.perf_counter() - tick))

@@ -167,15 +167,13 @@ def test_criterion_6_end_to_end_learning_signal():
     ds = generate_synthetic(DESK_SYNTH)
     train_ds, eval_ds = split(ds, SplitStrategy("random", 0.1, seed=1))
     norm = fit_normalizer(train_ds)
-    from csiloc.data import apply_normalizer
-    normalized = apply_normalizer(train_ds, norm)
 
     baseline = build_fcnn([], (2, 16, 64), seed=3)
-    baseline, _ = train(baseline, normalized, DESK_TRAIN)
+    baseline, _ = train(baseline, train_ds, DESK_TRAIN, norm)
     base_report = evaluate(baseline, eval_ds, norm)
 
     cnn = build_cnn4(DESK_ARCH, (2, 16, 64))
-    cnn, hist = train(cnn, normalized, DESK_TRAIN)
+    cnn, hist = train(cnn, train_ds, DESK_TRAIN, norm)
     cnn_report = evaluate(cnn, eval_ds, norm)
 
     elapsed = time.perf_counter() - started
@@ -186,8 +184,8 @@ def test_criterion_6_end_to_end_learning_signal():
 
     # determinism spot check: first two epochs reproduce bit-for-bit
     short = TrainConfig(max_epochs=2, batch_size=32, seed=5)
-    a, ha = train(build_cnn4(DESK_ARCH, (2, 16, 64)), normalized, short)
-    b, hb = train(build_cnn4(DESK_ARCH, (2, 16, 64)), normalized, short)
+    a, ha = train(build_cnn4(DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
+    b, hb = train(build_cnn4(DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
     for pa, pb in zip(a.params(), b.params()):
         npt.assert_array_equal(pa.value, pb.value)
     assert [r.monitor_mde for r in ha.records] == [r.monitor_mde for r in hb.records]
@@ -242,9 +240,7 @@ def test_criterion_8_report_artifact_validity(tmp_path):
     train_ds, eval_ds = split(ds, SplitStrategy("random", 0.2, seed=9))
     norm = fit_normalizer(train_ds)
     net = build_fcnn([], (2, 16, 16), seed=4)
-    from csiloc.data import apply_normalizer
-    net, _ = train(net, apply_normalizer(train_ds, norm),
-                   TrainConfig(max_epochs=3, batch_size=32, seed=6))
+    net, _ = train(net, train_ds, TrainConfig(max_epochs=3, batch_size=32, seed=6), norm)
     report = evaluate(net, eval_ds, norm)
     paths_a = emit_reports(report, tmp_path / "a")
     paths_b = emit_reports(report, tmp_path / "b")

@@ -182,6 +182,43 @@ class TestEval:
         assert run("eval", "--checkpoint", ckpt, "--eval", other,
                    "--out", tmp_path / "x") == 1
 
+    @staticmethod
+    def set_norm_scale(ckpt, scale):
+        """Rewrite the header's norm_scale; json writes inf and nan as Infinity and NaN."""
+        blob = ckpt.read_bytes()
+        nl = blob.index(b"\n", len(b"CSILOC1\n"))
+        header = {**json.loads(blob[len(b"CSILOC1\n"):nl]), "norm_scale": scale}
+        ckpt.write_bytes(b"CSILOC1\n" + json.dumps(header).encode() + blob[nl:])
+
+    @pytest.mark.parametrize("scale", [-np.inf, np.inf, np.nan, 0, -2])
+    def test_bad_norm_scale_fails_without_report(self, tmp_path, capsys, scale):
+        ckpt, data = self.prepare(tmp_path)
+        self.set_norm_scale(ckpt, scale)
+        out = tmp_path / "report"
+        assert run("eval", "--checkpoint", ckpt, "--eval", data, "--out", out) == 1
+        assert "norm_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_fails_without_report(self, tmp_path, capsys, bad):
+        ckpt, data = self.prepare(tmp_path)
+        net, scale, _ = load_checkpoint(ckpt)
+        net.params()[0].value[1, 5] = bad
+        save_checkpoint(ckpt, net, norm_scale=scale)
+        out = tmp_path / "report"
+        assert run("eval", "--checkpoint", ckpt, "--eval", data, "--out", out) == 1
+        assert "non-finite position estimates" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_csi_overflowing_the_scale_fails_without_report(self, tmp_path, capsys):
+        ckpt, data = self.prepare(tmp_path)
+        self.set_norm_scale(ckpt, 1e-308)   # |csi| > 1.8 overflows float64
+        out = tmp_path / "report"
+        assert run("eval", "--checkpoint", ckpt, "--eval", data, "--out", out) == 1
+        assert "non-finite position estimates" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFields:
     def write(self, tmp_path, flat):

@@ -1,9 +1,10 @@
-"""CSI precision: float32 at rest, one float64 copy at normalisation.
+"""CSI precision: float32 at rest, float64 one batch at a time.
 
-A container or complex64 NPY keeps its CSI as float32; apply_normalizer makes
-the float64 array that training and evaluation compute on. The normaliser and
-training must give the same bits as the float64 copy of the same values, and
-the split and train commands must hold few copies of the CSI at once.
+A container or complex64 NPY keeps its CSI as float32; apply_normalizer turns
+one gathered batch or chunk into the float64 array the network computes on.
+The normaliser and training must give the same bits as the float64 copy of
+the same values, and split, train and evaluate must hold few copies of the
+CSI at once.
 """
 
 import tracemalloc
@@ -11,10 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from csiloc import cli
 from csiloc.cli import main
 from csiloc.data import (Dataset, NormStats, SynthConfig, apply_normalizer, export_npy,
                          fit_normalizer, generate_synthetic, import_npy, load_canonical,
                          write_canonical)
+from csiloc.evaluation import evaluate
 from csiloc.models import build_model, resolve_arch
 from csiloc.train import TrainConfig, train
 
@@ -52,8 +55,9 @@ class TestDtype:
 
     def test_normalised_csi_is_float64(self):
         ds = float32_dataset(4, 2, 8, seed=0)
-        out = apply_normalizer(ds, NormStats(0.5))
-        assert out.csi.dtype == np.float64 and out.snr is ds.snr and out.pos is ds.pos
+        out = apply_normalizer(ds.csi[[2, 0]], NormStats(0.5))
+        assert out.dtype == np.float64 and out.shape == (2, 2, 2, 8)
+        assert ds.csi.dtype == np.float32
 
 
 # (n, antennas, subcarriers, offset); the last three hold over 8,192 values
@@ -67,8 +71,8 @@ def test_normalizer_float32_equals_float64_path(n, a, w, offset):
     stats = fit_normalizer(ds32)
     # the scale is ndarray.std() of the float64 values, whichever dtype holds them
     assert stats == fit_normalizer(ds64) and stats.scale == float(ds64.csi.std())
-    out32, out64 = apply_normalizer(ds32, stats), apply_normalizer(ds64, stats)
-    assert bits(out32.csi) == bits(out64.csi) == bits(ds64.csi / stats.scale)
+    out32, out64 = apply_normalizer(ds32.csi, stats), apply_normalizer(ds64.csi, stats)
+    assert bits(out32) == bits(out64) == bits(ds64.csi / stats.scale)
 
 
 def test_normalizer_on_loaded_container(tmp_path):
@@ -79,7 +83,7 @@ def test_normalizer_on_loaded_container(tmp_path):
     copy = as_float64(loaded)
     stats = fit_normalizer(loaded)
     assert stats == fit_normalizer(copy)
-    assert bits(apply_normalizer(loaded, stats).csi) == bits(apply_normalizer(copy, stats).csi)
+    assert bits(apply_normalizer(loaded.csi, stats)) == bits(apply_normalizer(copy.csi, stats))
 
 
 @pytest.mark.parametrize("kind,arch", [("linear", {}),
@@ -90,10 +94,11 @@ def test_train_float32_equals_float64_copy(tmp_path, kind, arch):
     write_canonical(tmp_path / "c", ds)
     loaded = load_canonical(tmp_path / "c")
     cfg = TrainConfig(max_epochs=3, batch_size=8, seed=2)
+    norm = fit_normalizer(loaded)
     runs = []
     for data in (loaded, as_float64(loaded)):
         net = build_model(kind, resolve_arch(kind, arch), (2, 16, 32))
-        net, history = train(net, data, cfg)
+        net, history = train(net, data, cfg, norm)
         runs.append(([bits(v) for v in net.snapshot()],
                      [(r.epoch, r.train_mde, r.monitor_mde, r.lr) for r in history.records]))
     assert runs[0] == runs[1]
@@ -128,5 +133,41 @@ def test_split_memory(tmp_path, container):
 def test_train_memory(tmp_path, container):
     peak = traced_peak(["train", "--train", str(container), "--model", "linear",
                         "--max-epochs", "1", "--out", str(tmp_path / "m")])
-    # the read float32 bytes and the normalised float64 copy, with no whole-set gather
+    # the read float32 bytes and fit_normalizer's float64 temporary
     assert peak < 4.5 * (container / "csi.f32").stat().st_size
+
+
+def test_train_memory_after_fit(tmp_path, container, monkeypatch):
+    fit = cli.fit_normalizer
+
+    def fit_then_reset_peak(ds):
+        norm = fit(ds)
+        tracemalloc.reset_peak()
+        return norm
+    monkeypatch.setattr(cli, "fit_normalizer", fit_then_reset_peak)
+    peak = traced_peak(["train", "--train", str(container), "--model", "linear",
+                        "--max-epochs", "1", "--out", str(tmp_path / "m")])
+    # the read float32 bytes, the float32 monitor rows and one float64 batch or
+    # chunk at a time; no normalised copy of the training set
+    assert peak < 2.0 * (container / "csi.f32").stat().st_size
+
+
+@pytest.mark.parametrize("threads,bound", [(1, 1.25), (2, 2.25)])
+def test_evaluate_memory(tmp_path, monkeypatch, threads, bound):
+    """1,200 samples at 16 x 64 are five 256-sample chunks; each chunk in flight
+    holds its float64 quotient and the dense layer's flattened copy of it."""
+    ds = generate_synthetic(SynthConfig(num_samples=1200, num_subcarriers=64, seed=8))
+    write_canonical(tmp_path / "c", ds)
+    loaded = load_canonical(tmp_path / "c")
+    net = build_model("linear", resolve_arch("linear", {}), (2, 16, 64))
+    norm = fit_normalizer(loaded)
+    monkeypatch.setenv("CSILOC_THREADS", str(threads))
+    tracemalloc.start()
+    try:
+        report = evaluate(net, loaded, norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_samples == 1200
+    # no normalised float64 copy of the evaluation set (2x the float32 bytes)
+    assert peak < bound * loaded.csi.nbytes

@@ -206,20 +206,27 @@ class TestNormalizer:
         ds = Dataset(csi, np.zeros((4, 2)), np.ones((4, 3)))
         stats = fit_normalizer(ds)
         assert stats.scale == 2.5
-        npt.assert_array_equal(np.abs(apply_normalizer(ds, stats).csi), np.ones((4, 2, 2, 8)))
+        npt.assert_array_equal(np.abs(apply_normalizer(ds.csi, stats)), np.ones((4, 2, 2, 8)))
 
     def test_train_std_one(self):
         ds = generate_synthetic(SynthConfig(num_samples=10, num_subcarriers=16, seed=15))
         stats = fit_normalizer(ds)
-        assert abs(apply_normalizer(ds, stats).csi.std() - 1.0) < 1e-12
+        assert abs(apply_normalizer(ds.csi, stats).std() - 1.0) < 1e-12
 
     def test_positions_untouched(self):
         train = generate_synthetic(SynthConfig(num_samples=10, num_subcarriers=16, seed=16))
         ev = generate_synthetic(SynthConfig(num_samples=5, num_subcarriers=16, seed=17))
         stats = fit_normalizer(train)
-        out = apply_normalizer(ev, stats)
-        npt.assert_array_equal(out.pos, ev.pos)
-        npt.assert_array_equal(out.snr, ev.snr)
+        before = (ev.csi.copy(), ev.pos.copy(), ev.snr.copy())
+        out = apply_normalizer(ev.csi, stats)
+        npt.assert_array_equal(out, ev.csi / stats.scale)
+        for was, now in zip(before, (ev.csi, ev.pos, ev.snr)):
+            npt.assert_array_equal(was, now)
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, float("inf"), float("-inf"), float("nan")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            NormStats(scale)
 
     def test_zero_variance(self):
         ds = Dataset(np.full((2, 2, 2, 8), 3.0), np.zeros((2, 2)), np.ones((2, 3)))

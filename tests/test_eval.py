@@ -172,6 +172,13 @@ class TestEvaluate:
         b = evaluate(net, ds, NormStats(1.0))
         npt.assert_array_equal(a.estimate, b.estimate)
 
+    def test_each_chunk_divided_by_norm(self, monkeypatch):
+        ds, net = crafted_linear_dataset(n=600, seed=9)   # three chunks, on two workers
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        a = evaluate(net, ds, NormStats(3.0))
+        b = evaluate(net, Dataset(ds.csi / 3.0, ds.snr, ds.pos), NormStats(1.0))
+        npt.assert_array_equal(a.estimate, b.estimate)
+
     def test_malformed_thread_cap(self, monkeypatch):
         ds, net = crafted_linear_dataset()
         for cap in ("two", "0", "-3"):
@@ -264,9 +271,9 @@ class TestStatelessInference:
         net, _, _ = build_tiny("cnn4r")
         x = np.random.default_rng(30).standard_normal((2 * 256 + 1,) + net.input_shape)  # three chunks
         monkeypatch.setenv("CSILOC_THREADS", "1")
-        serial = predict(net, x)
+        serial = predict(net, x, NormStats(1.0))
         monkeypatch.setenv("CSILOC_THREADS", "2")
-        npt.assert_array_equal(predict(net, x), serial)
+        npt.assert_array_equal(predict(net, x, NormStats(1.0)), serial)
         layers = list(net.layers)
         for unit in [layer for layer in layers if isinstance(layer, ResidualUnit)]:
             layers += [unit.conv_a, unit.relu_mid, unit.conv_b, unit.relu_out]
@@ -282,7 +289,7 @@ class TestStatelessInference:
         x = np.random.default_rng(31).standard_normal((128, 2, 16, 64))
         tracemalloc.start()
         try:
-            out = predict(net, x)
+            out = predict(net, x, NormStats(1.0))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

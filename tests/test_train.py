@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from csiloc.data import Dataset
+from csiloc.data import Dataset, NormStats
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.layers import Param
-from csiloc.models import build_fcnn
+from csiloc.models import build_fcnn, load_checkpoint
 from csiloc.network import build_tiny
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
@@ -210,6 +210,19 @@ class TestTrainLoop:
             npt.assert_array_equal(a.value, b.value)
         assert [(r.train_mde, r.monitor_mde, r.lr) for r in h1.records] == \
                [(r.train_mde, r.monitor_mde, r.lr) for r in h2.records]
+
+    def test_each_batch_divided_by_norm(self, tmp_path):
+        """Raw CSI under a scale trains as the divided CSI does under none."""
+        ds = linear_task_dataset()
+        cfg = TrainConfig(max_epochs=4, batch_size=16, seed=2)
+        n1, h1 = train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg, NormStats(3.0),
+                       checkpoint_path=tmp_path / "m.ckpt")
+        n2, h2 = train(build_fcnn([4], (2, 2, 8), seed=6), Dataset(ds.csi / 3.0, ds.snr, ds.pos), cfg)
+        for a, b in zip(n1.params(), n2.params()):
+            npt.assert_array_equal(a.value, b.value)
+        assert [(r.train_mde, r.monitor_mde) for r in h1.records] == \
+               [(r.train_mde, r.monitor_mde) for r in h2.records]
+        assert load_checkpoint(tmp_path / "m.ckpt")[1] == 3.0
 
     def test_malformed_thread_cap(self, monkeypatch):
         monkeypatch.setenv("CSILOC_THREADS", "two")
