@@ -26,7 +26,7 @@ print(f"\nLoS-only magnitude spread over subcarriers: {mag.std(axis=1).max():.2e
 
 # ... and the phase advances linearly with frequency at slope -2*pi*tau
 freqs = subcarrier_frequencies(cfg)
-ants = antenna_positions(cfg)
+ants = antenna_positions()
 tau = np.linalg.norm(np.array([3.0, 0.2, 1.0]) - ants[0]) / SPEED_OF_LIGHT
 measured_slope = np.angle(los_only[0, 0, 1] * np.conj(los_only[0, 0, 0])) / (freqs[1] - freqs[0])
 print(f"antenna 0 delay {tau*1e9:.3f} ns; phase slope implies "

@@ -8,9 +8,8 @@ raise EPOCHS for a result closer to the acceptance-grade run.
 
 import json
 
-from csiloc import (ArchConfig, SplitStrategy, SynthConfig, TrainConfig,
-                    build_cnn4, build_fcnn, emit_reports, evaluate,
-                    fit_normalizer, generate_synthetic, split, train)
+from csiloc import (SplitStrategy, SynthConfig, TrainConfig, build_model, emit_reports,
+                    evaluate, fit_normalizer, generate_synthetic, split, train)
 
 EPOCHS = 12
 
@@ -20,13 +19,14 @@ train_ds, eval_ds = split(ds, SplitStrategy("random", 0.1, seed=1))
 norm = fit_normalizer(train_ds)   # training and evaluation divide each batch by its scale
 cfg = TrainConfig(max_epochs=EPOCHS, batch_size=32, seed=5)
 
-linear = build_fcnn([], (2, 16, 64), seed=3)
+# one builder for every kind: any subset of the kind's fields over its defaults
+linear = build_model("linear", {"seed": 3}, (2, 16, 64))
 linear, _ = train(linear, train_ds, cfg, norm)
 linear_report = evaluate(linear, eval_ds, norm, metadata={"split": "random"})
 print(f"linear baseline: eval MDE {linear_report.mde_m:.3f} m")
 
-cnn = build_cnn4(ArchConfig(base_filters=8, kernel=5, stride=2, head_units=256, seed=3),
-                 (2, 16, 64))
+cnn = build_model("cnn4", {"base_filters": 8, "kernel": 5, "stride": 2, "head_units": 256,
+                           "seed": 3}, (2, 16, 64))
 cnn, history = train(cnn, train_ds, cfg, norm)
 print("per-epoch monitor MDE:",
       " ".join(f"{r.monitor_mde:.3f}" for r in history.records))

@@ -9,9 +9,10 @@ only makes sense at toy sizes (a minute or so in total).
 import time
 
 from csiloc import gradient_check
-from csiloc.network import GRADCHECK_TOLERANCE, build_tiny
+from csiloc.models import MODEL_KINDS, build_tiny
+from csiloc.network import GRADCHECK_TOLERANCE
 
-for kind in ("cnn4", "cnn4r", "cnn4s", "fcnn", "linear"):
+for kind in MODEL_KINDS:
     net, x, target = build_tiny(kind)
     tick = time.perf_counter()
     result = gradient_check(net, x, target, step=1e-6)

@@ -11,9 +11,8 @@ from .errors import (CheckpointError, CsilocError, DataFormatError,
 from .evaluation import EvalReport, emit_reports, evaluate, mde, nmde, rmse
 from .layers import (AvgPool1xP, Conv1xK, Dense, Flatten, Param, ReLU,
                      ResidualUnit, conv_out_width, same_padding)
-from .models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r,
-                     build_cnn4s, build_fcnn, build_model, count_weights,
+from .models import (ArchConfig, DEFAULT_ARCH, build_model, count_weights,
                      load_checkpoint, save_checkpoint, weights_millions)
-from .network import GradCheckResult, Network, gradient_check
-from .train import (PlateauSchedule, TrainConfig, TrainHistory, mde_loss,
+from .network import GradCheckResult, Network, gradient_check, mde_loss
+from .train import (PlateauSchedule, TrainConfig, TrainHistory,
                     sgd_momentum_step, train)

@@ -18,8 +18,8 @@ from . import __version__
 from .data import (NormStats, SplitStrategy, SynthConfig, fit_normalizer, generate_synthetic,
                    import_npy, load_canonical, split, write_canonical)
 from .errors import CsilocError
-from .models import (ArchConfig, MODEL_KINDS, build_model, count_weights, load_checkpoint,
-                     resolve_arch, save_checkpoint, weights_millions)
+from .models import (ArchConfig, MODEL_KINDS, build_model, build_tiny, count_weights,
+                     load_checkpoint, resolve_arch, save_checkpoint, weights_millions)
 from . import network
 from .train import TrainConfig, train
 from .evaluation import evaluate, emit_reports
@@ -193,7 +193,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    net, x, target = network.build_tiny(args.model)
+    net, x, target = build_tiny(args.model)
     result = network.gradient_check(net, x, target)
     print(result)
     if result.max_rel_err < network.GRADCHECK_TOLERANCE:

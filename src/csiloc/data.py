@@ -22,8 +22,20 @@ from .npyio import read_npy, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# guard band proportion of the source measurement: 50 of 1024 bins per side
+# carrier and bandwidth of the source measurement, and its guard band
+# proportion: 50 of 1024 bins per side
+FC_HZ = 1.25e9
+BANDWIDTH_HZ = 20e6
 GUARD_FRACTION = 50.0 / 1024.0
+
+# the synthetic scene: a 2x8 antenna grid (rows stacked along z, columns spread
+# along y) at x = 0, and a table of transmitter positions at least a meter in front of it
+SYNTH_ARRAY_ROWS = 2
+SYNTH_ARRAY_COLS = 8
+SYNTH_X_RANGE = (1.0, 5.0)
+SYNTH_Y_RANGE = (-1.0, 1.0)
+SYNTH_Z_RANGE = (0.8, 1.2)
+SYNTH_REFLECTOR_GAIN_RANGE = (0.2, 0.8)
 
 
 @dataclass
@@ -31,8 +43,8 @@ class Dataset:
     csi: np.ndarray
     snr: np.ndarray
     pos: np.ndarray
-    fc_hz: float = 1.25e9
-    bandwidth_hz: float = 20e6
+    fc_hz: float = FC_HZ
+    bandwidth_hz: float = BANDWIDTH_HZ
     frame: str = "native"
 
     def __post_init__(self):
@@ -140,7 +152,7 @@ def load_canonical(directory) -> Dataset:
 
 # --- NPY import --------------------------------------------------------------
 
-def import_npy(csi_path, snr_path, pos_path, fc_hz=1.25e9, bandwidth_hz=20e6) -> Dataset:
+def import_npy(csi_path, snr_path, pos_path) -> Dataset:
     """Ingest challenge-style NPY dumps: csi complex64 (N,A,S) or float (N,A,S,2),
     snr (N,A), pos (N,3)."""
     csi = read_npy(csi_path)
@@ -161,7 +173,7 @@ def import_npy(csi_path, snr_path, pos_path, fc_hz=1.25e9, bandwidth_hz=20e6) ->
     if planes.shape[2] != snr.shape[1]:
         raise DataFormatError(
             f"antenna count mismatch: csi has {planes.shape[2]}, snr has {snr.shape[1]}")
-    return Dataset(planes, snr, pos, fc_hz=fc_hz, bandwidth_hz=bandwidth_hz)
+    return Dataset(planes, snr, pos)
 
 
 def export_npy(directory, ds: Dataset):
@@ -184,15 +196,7 @@ class SynthConfig:
 
     num_samples: int = 2000
     num_subcarriers: int = 64
-    fc_hz: float = 1.25e9
-    bandwidth_hz: float = 20e6
-    array_rows: int = 2            # stacked along z
-    array_cols: int = 8            # spread along y
-    x_range: tuple = (1.0, 5.0)
-    y_range: tuple = (-1.0, 1.0)
-    z_range: tuple = (0.8, 1.2)
     num_reflectors: int = 3
-    reflector_gain_range: tuple = (0.2, 0.8)
     snr_db_range: tuple = (10.0, 30.0)
     seed: int = 0
 
@@ -203,21 +207,20 @@ class SynthConfig:
             raise ValueError("num_subcarriers must be >= 8")
         if self.num_reflectors < 0:
             raise ValueError("num_reflectors must be >= 0")
-        for name in ("x_range", "y_range", "z_range", "snr_db_range", "reflector_gain_range"):
-            lo, hi = getattr(self, name)
-            if not hi >= lo:
-                raise ValueError(f"{name} must be (low, high) with high >= low")
-        if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
-            raise ValueError("table extents must be positive")
+        lo, hi = self.snr_db_range
+        # a NaN or infinite bound makes the difference NaN or infinite too
+        if not 0.0 <= hi - lo <= sys.float_info.max:
+            raise ValueError(f"snr_db_range must be finite (low, high) with high >= low "
+                             f"and a finite difference, got {self.snr_db_range}")
 
 
-def antenna_positions(cfg: SynthConfig):
+def antenna_positions():
     """(A, 3) element positions: half-wavelength grid in the x=0 plane, centered
     on the y axis, rows stacked around the middle of the z range."""
-    z_mid = 0.5 * (cfg.z_range[0] + cfg.z_range[1])
-    d = SPEED_OF_LIGHT / cfg.fc_hz / 2.0
-    rows = np.arange(cfg.array_rows) - (cfg.array_rows - 1) / 2.0
-    cols = np.arange(cfg.array_cols) - (cfg.array_cols - 1) / 2.0
+    z_mid = 0.5 * (SYNTH_Z_RANGE[0] + SYNTH_Z_RANGE[1])
+    d = SPEED_OF_LIGHT / FC_HZ / 2.0
+    rows = np.arange(SYNTH_ARRAY_ROWS) - (SYNTH_ARRAY_ROWS - 1) / 2.0
+    cols = np.arange(SYNTH_ARRAY_COLS) - (SYNTH_ARRAY_COLS - 1) / 2.0
     grid = [(0.0, c * d, z_mid + r * d) for r in rows for c in cols]
     return np.asarray(grid, dtype=np.float64)
 
@@ -225,20 +228,20 @@ def antenna_positions(cfg: SynthConfig):
 def subcarrier_frequencies(cfg: SynthConfig):
     """Useful-bin center frequencies: guard bands cut proportionally off both
     band edges, remaining width divided evenly across the bins."""
-    guard = cfg.bandwidth_hz * GUARD_FRACTION
-    useful = cfg.bandwidth_hz - 2.0 * guard
+    guard = BANDWIDTH_HZ * GUARD_FRACTION
+    useful = BANDWIDTH_HZ - 2.0 * guard
     delta = useful / cfg.num_subcarriers
     k = np.arange(cfg.num_subcarriers)
-    return cfg.fc_hz - cfg.bandwidth_hz / 2.0 + guard + k * delta
+    return FC_HZ - BANDWIDTH_HZ / 2.0 + guard + k * delta
 
 
 def scene_reflectors(cfg: SynthConfig, rng):
     """Fixed room geometry for one dataset: reflector points in a box one meter
     larger than the table on every side, with a complex gain each."""
-    lo = np.array([cfg.x_range[0] - 1.0, cfg.y_range[0] - 1.0, max(cfg.z_range[0] - 0.5, 0.0)])
-    hi = np.array([cfg.x_range[1] + 1.0, cfg.y_range[1] + 1.0, cfg.z_range[1] + 0.5])
+    lo = np.array([SYNTH_X_RANGE[0] - 1.0, SYNTH_Y_RANGE[0] - 1.0, max(SYNTH_Z_RANGE[0] - 0.5, 0.0)])
+    hi = np.array([SYNTH_X_RANGE[1] + 1.0, SYNTH_Y_RANGE[1] + 1.0, SYNTH_Z_RANGE[1] + 0.5])
     points = rng.uniform(lo, hi, size=(cfg.num_reflectors, 3))
-    amps = rng.uniform(*cfg.reflector_gain_range, size=cfg.num_reflectors)
+    amps = rng.uniform(*SYNTH_REFLECTOR_GAIN_RANGE, size=cfg.num_reflectors)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.num_reflectors)
     return points, amps * np.exp(1j * phases)
 
@@ -251,7 +254,7 @@ def channel_response(cfg: SynthConfig, positions, reflector_points=None, reflect
     gain scaled by the reciprocal of the total path length.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    ants = antenna_positions(cfg)
+    ants = antenna_positions()
     freqs = subcarrier_frequencies(cfg)
     if reflector_points is None:
         reflector_points = np.zeros((0, 3))
@@ -274,29 +277,19 @@ _GEN_CHUNK = 256
 def generate_synthetic(cfg: SynthConfig):
     """Seeded synthetic dataset; identical seed gives a bit-identical result.
 
-    Transmitter positions are uniform over the configured extents (redrawn in
-    the vanishingly rare case one lands within 1 cm of an antenna element).
-    Per sample one target SNR is drawn; complex white noise is added per
-    antenna to realize it, and the actually realized per-antenna SNR is what
-    lands in the snr field. The fixed reflector geometry is the generator's
-    first draw, scene_reflectors(cfg, np.random.default_rng(cfg.seed)).
+    Transmitter positions are uniform over the table. Per sample one target
+    SNR is drawn; complex white noise is added per antenna to realize it, and
+    the actually realized per-antenna SNR is what lands in the snr field. The
+    fixed reflector geometry is the generator's first draw,
+    scene_reflectors(cfg, np.random.default_rng(cfg.seed)).
     """
     rng = np.random.default_rng(cfg.seed)
-    ants = antenna_positions(cfg)
     refl_points, refl_gains = scene_reflectors(cfg, rng)
-
-    lows = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
-    highs = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
+    lows = np.array([SYNTH_X_RANGE[0], SYNTH_Y_RANGE[0], SYNTH_Z_RANGE[0]])
+    highs = np.array([SYNTH_X_RANGE[1], SYNTH_Y_RANGE[1], SYNTH_Z_RANGE[1]])
     pos = rng.uniform(lows, highs, size=(cfg.num_samples, 3))
-    while True:
-        d = np.linalg.norm(pos[:, None, :] - ants[None, :, :], axis=2).min(axis=1)
-        bad = d < 0.01
-        if not bad.any():
-            break
-        pos[bad] = rng.uniform(lows, highs, size=(int(bad.sum()), 3))
-
     target_snr = rng.uniform(*cfg.snr_db_range, size=cfg.num_samples)
-    n, a, w = cfg.num_samples, len(ants), cfg.num_subcarriers
+    n, a, w = cfg.num_samples, SYNTH_ARRAY_ROWS * SYNTH_ARRAY_COLS, cfg.num_subcarriers
     csi = np.empty((n, 2, a, w))
     snr = np.empty((n, a))
     for start in range(0, n, _GEN_CHUNK):
@@ -311,7 +304,7 @@ def generate_synthetic(cfg: SynthConfig):
         csi[start:stop, 0] = h.real
         csi[start:stop, 1] = h.imag
         snr[start:stop] = 10.0 * np.log10(p_sig / p_noise)
-    return Dataset(csi, snr, pos, fc_hz=cfg.fc_hz, bandwidth_hz=cfg.bandwidth_hz)
+    return Dataset(csi, snr, pos)
 
 
 # --- normalization -----------------------------------------------------------
@@ -340,7 +333,8 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 def apply_normalizer(csi, stats: NormStats):
     """A gathered batch or chunk of CSI as the float64 array the network computes on."""
-    return np.divide(csi, stats.scale, dtype=np.float64)
+    # C order, whatever the order of the float32 view: Flatten then reshapes without a copy
+    return np.divide(csi, stats.scale, dtype=np.float64, order="C")
 
 
 # --- splits ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Builders for the CNN4 / CNN4R / CNN4S position estimators and baselines.
+"""The CNN4 / CNN4R / CNN4S position estimators and baselines, built by build_model.
 
 All three share the same skeleton: a width-reducing stage over the
 subcarrier axis, then flatten -> dense(head) + ReLU -> dense(3) linear.
@@ -20,7 +20,6 @@ import operator
 import struct
 import sys
 from dataclasses import dataclass, asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,11 @@ class ArchConfig:
         """Per-stage filter counts: round(F0 * growth^i), i = 0..3, nondecreasing."""
         if self.base_filters < 1:
             raise ValueError("base_filters must be >= 1")
-        counts = [round_half_up(self.base_filters * self.growth ** i) for i in range(4)]
+        try:
+            counts = [round_half_up(self.base_filters * self.growth ** i) for i in range(4)]
+        except OverflowError as e:
+            raise ValueError(f"filter counts overflow: base_filters {self.base_filters}, "
+                             f"growth {self.growth}") from e
         if any(b < a for a, b in zip(counts, counts[1:])):
             raise ValueError(f"filter counts must be nondecreasing, got {counts}")
         return counts
@@ -67,6 +70,45 @@ DEFAULT_ARCH = {
 }
 
 MODEL_KINDS = ("cnn4", "cnn4r", "cnn4s", "fcnn", "linear")
+
+
+def _merged_arch(kind, fields):
+    """The full architecture of kind: any subset of its fields laid over its defaults,
+    the DEFAULT_ARCH row of a CNN kind or no hidden layers and seed 0 for fcnn/linear."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    defaults = asdict(DEFAULT_ARCH[kind]) if kind in DEFAULT_ARCH else {"hidden": [], "seed": 0}
+    fields = fields or {}
+    unknown = sorted(set(fields) - set(defaults))
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)} does not apply to {kind}")
+    return {**defaults, **fields}
+
+
+# shrunken geometry per architecture: W=60 and stride defaults would underflow
+# the width chain, so each kind gets the largest stride that stays legal
+_TINY_INPUT_SHAPE = (2, 4, 60)
+_TINY = {
+    "cnn4": {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 16},
+    "cnn4r": {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 16},
+    "cnn4s": {"base_filters": 2, "kernel": 3, "stride": 1, "head_units": 16},
+    "fcnn": {"hidden": [8]},
+    "linear": {},
+}
+
+
+def build_tiny(kind):
+    """A shrunken model of the kind with a two-sample batch: (net, x, target)."""
+    net = build_model(kind, {**_TINY[kind], "seed": 11}, _TINY_INPUT_SHAPE)
+    rng = np.random.default_rng(7)
+    # shipped init zeroes biases, which parks ReLU pre-activations exactly on
+    # the kink where central differences and the subgradient disagree; jitter
+    # every parameter so the check runs at a generic smooth point
+    for p in net.params():
+        p.value += rng.uniform(-0.15, 0.15, size=p.value.shape)
+    x = rng.standard_normal((2,) + _TINY_INPUT_SHAPE)
+    target = rng.uniform(1.0, 3.0, size=(2, 3))
+    return net, x, target
 
 
 def _dense_chain(width, hidden, rng):
@@ -95,7 +137,7 @@ def _conv_stage(layers, shape, name, filters, stride, kernel, rng, units=None):
 def _check_sizes(name, values, least=1):
     """TypeError unless each of values is an int, ValueError unless each is >= least.
 
-    The builders and _weights_to_build check every size here, so each term of the
+    build_model and _weights_to_build check every size here, so each term of the
     loader's weight count is nonnegative and no value can cancel another.
     """
     if any(operator.index(v) < least for v in values):
@@ -118,9 +160,8 @@ def _cnn_stages(kind, cfg, input_shape):
             yield f"block{i}", f, cfg.stride, cfg.residual_units_per_block, False
 
 
-def _build_cnn(kind, cfg=None, input_shape=DEFAULT_INPUT_SHAPE):
+def _build_cnn(kind, cfg, input_shape):
     """Four conv stages, then the head."""
-    cfg = cfg or DEFAULT_ARCH[kind]
     rng = np.random.default_rng(cfg.seed)
     layers, shape = [], tuple(input_shape)
     for name, f, stride, units, pooled in _cnn_stages(kind, cfg, shape):
@@ -132,74 +173,48 @@ def _build_cnn(kind, cfg=None, input_shape=DEFAULT_INPUT_SHAPE):
     return Network(layers, input_shape, kind=kind, arch=asdict(cfg))
 
 
-# the per-kind entry points: build_cnn4(cfg=None, input_shape=DEFAULT_INPUT_SHAPE)
-build_cnn4 = partial(_build_cnn, "cnn4")
-build_cnn4r = partial(_build_cnn, "cnn4r")
-build_cnn4s = partial(_build_cnn, "cnn4s")
-
-
 def _fcnn_widths(hidden, input_shape):
-    """[flattened input, *hidden, 3]: the dense chain build_fcnn builds, sizes checked."""
+    """[flattened input, *hidden, 3]: the dense chain of fcnn/linear, sizes checked."""
     _check_sizes("input_shape", input_shape)
     _check_sizes("hidden widths", hidden)
     return [math.prod(input_shape), *hidden, 3]
 
 
-def build_fcnn(hidden, input_shape=DEFAULT_INPUT_SHAPE, seed=0):
-    """Dense baseline; hidden=[] yields the pure linear model."""
-    hidden = list(hidden)
-    rng = np.random.default_rng(seed)
-    labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
-    layers = _dense_chain(_fcnn_widths(hidden, input_shape)[0], labelled, rng)
-    kind = "linear" if not hidden else "fcnn"
-    return Network(layers, input_shape, kind=kind, arch={"hidden": hidden, "seed": seed})
-
-
 def resolve_arch(kind, flat):
-    """The architecture dict build_model takes, from a kind and its config fields.
+    """The architecture dict build_model builds, from a kind and its config fields.
 
-    CNN kinds lay ArchConfig fields over the kind's shipped defaults; fcnn and
-    linear take only hidden. kind must be one of MODEL_KINDS.
+    seed is an ArchConfig field, so the CLI's config carries it into flat; it is
+    not a config field of fcnn or linear, whose seed stays 0.
     """
-    if kind in DEFAULT_ARCH:
-        if "hidden" in flat:
-            raise ValueError(f"hidden does not apply to {kind}")
-        return {**asdict(DEFAULT_ARCH[kind]), **flat}
-    extra = sorted(set(flat) - {"hidden"})
-    if extra:
-        raise ValueError(f"architecture fields {extra} do not apply to {kind}")
-    return {"hidden": list(flat.get("hidden", [])), "seed": 0}
+    if kind not in DEFAULT_ARCH and "seed" in flat:
+        raise ValueError(f"seed does not apply to {kind}")
+    return _merged_arch(kind, flat)
 
 
 def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
-    """Dispatch on the model kind string used by checkpoints and the CLI.
-
-    arch is a resolved architecture dict; empty or None means the kind's defaults.
-    """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    arch = arch or resolve_arch(kind, {})
+    """The one model builder, dispatched on the kind string used by checkpoints and
+    the CLI. arch holds any subset of the kind's fields; the rest are its defaults.
+    fcnn with no hidden layers builds the linear model."""
+    arch = _merged_arch(kind, arch)
     if kind in DEFAULT_ARCH:
-        return _build_cnn(kind, _arch_config(arch), input_shape)
-    if kind == "linear" and arch.get("hidden"):
+        return _build_cnn(kind, ArchConfig(**arch), input_shape)
+    hidden, seed = list(arch["hidden"]), arch["seed"]
+    if kind == "linear" and hidden:
         raise ValueError("linear model takes no hidden layers")
-    return build_fcnn(arch.get("hidden", []), input_shape, seed=arch.get("seed", 0))
-
-
-def _arch_config(d):
-    unknown = set(d) - set(ArchConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown architecture config fields: {sorted(unknown)}")
-    return ArchConfig(**d)
+    rng = np.random.default_rng(seed)
+    labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
+    layers = _dense_chain(_fcnn_widths(hidden, input_shape)[0], labelled, rng)
+    return Network(layers, input_shape, kind="fcnn" if hidden else "linear",
+                   arch={"hidden": hidden, "seed": seed})
 
 
 def _weights_to_build(kind, arch, input_shape):
     """count_weights(build_model(kind, arch, input_shape)) from the numbers alone, with
     no allocation; raises ValueError, TypeError, ArithmeticError or ShapeError on
-    values the builders reject or that cannot be sized."""
-    arch, total = arch or resolve_arch(kind, {}), 0
+    values the builder rejects or that cannot be sized."""
+    arch, total = _merged_arch(kind, arch), 0
     if kind in DEFAULT_ARCH:
-        cfg = _arch_config(arch)
+        cfg = ArchConfig(**arch)
         (c, h, w), k = input_shape, cfg.kernel
         for _, f, stride, units, pooled in _cnn_stages(kind, cfg, input_shape):
             total += f * (c * k + 1) + (units or 0) * 2 * f * (f * k + 1)
@@ -209,7 +224,7 @@ def _weights_to_build(kind, arch, input_shape):
             c = f
         widths = [c * h * w, cfg.head_units, 3]
     else:
-        widths = _fcnn_widths(list(arch.get("hidden", [])), input_shape)
+        widths = _fcnn_widths(list(arch["hidden"]), input_shape)
     return total + sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 

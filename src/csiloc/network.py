@@ -77,34 +77,23 @@ def count_weights(net):
 
 
 GRADCHECK_TOLERANCE = 1e-4
-
-# shrunken geometry per architecture: W=60 and stride defaults would underflow
-# the width chain, so each kind gets the largest stride that stays legal
-_TINY_INPUT_SHAPE = (2, 4, 60)
-_TINY = {
-    "cnn4": {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 16},
-    "cnn4r": {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 16},
-    "cnn4s": {"base_filters": 2, "kernel": 3, "stride": 1, "head_units": 16},
-    "fcnn": {"hidden": [8]},
-    "linear": {},
-}
+MDE_EPS = 1e-12          # keeps the loss gradient finite at zero error
 
 
-def build_tiny(kind):
-    """A shrunken model of the kind with a two-sample batch: (net, x, target)."""
-    from .models import build_model, resolve_arch
+def mde_loss(pred, truth):
+    """Mean Euclidean distance between predictions and truth, with gradient.
 
-    arch = {**resolve_arch(kind, _TINY[kind]), "seed": 11}
-    net = build_model(kind, arch, _TINY_INPUT_SHAPE)
-    rng = np.random.default_rng(7)
-    # shipped init zeroes biases, which parks ReLU pre-activations exactly on
-    # the kink where central differences and the subgradient disagree; jitter
-    # every parameter so the check runs at a generic smooth point
-    for p in net.params():
-        p.value += rng.uniform(-0.15, 0.15, size=p.value.shape)
-    x = rng.standard_normal((2,) + _TINY_INPUT_SHAPE)
-    target = rng.uniform(1.0, 3.0, size=(2, 3))
-    return net, x, target
+    loss = mean_i sqrt(sum_d (pred - truth)^2 + eps)
+    dloss/dpred_i = (pred_i - truth_i) / (B * sqrt(.))
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape or pred.ndim != 2:
+        raise ShapeError(f"mde_loss shapes must match (B, D), got {pred.shape} vs {truth.shape}")
+    diff = pred - truth
+    dist = np.sqrt((diff * diff).sum(axis=1) + MDE_EPS)
+    grad = diff / (dist[:, None] * pred.shape[0])
+    return float(dist.mean()), grad
 
 
 @dataclass
@@ -129,8 +118,6 @@ def gradient_check(net, x, target, step=1e-6):
     Relative error per parameter is |analytic - fd| / max(|analytic|, |fd|, 1e-12).
     O(P) forward passes; meant for shrunken configurations only.
     """
-    from .train import mde_loss
-
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
 

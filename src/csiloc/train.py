@@ -12,28 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
 from .data import NormStats, apply_normalizer, round_half_up
-from .errors import ShapeError, TrainingDivergedError
+from .errors import TrainingDivergedError
 from .evaluation import _threads, mde, predict, write_csv
+from .network import mde_loss
 
-MDE_EPS = 1e-12          # keeps the loss gradient finite at zero error
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience
-
-
-def mde_loss(pred, truth):
-    """Mean Euclidean distance between predictions and truth, with gradient.
-
-    loss = mean_i sqrt(sum_d (pred - truth)^2 + eps)
-    dloss/dpred_i = (pred_i - truth_i) / (B * sqrt(.))
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 2:
-        raise ShapeError(f"mde_loss shapes must match (B, D), got {pred.shape} vs {truth.shape}")
-    diff = pred - truth
-    dist = np.sqrt((diff * diff).sum(axis=1) + MDE_EPS)
-    grad = diff / (dist[:, None] * pred.shape[0])
-    return float(dist.mean()), grad
 
 
 def sgd_momentum_step(params, lr, momentum):
@@ -183,9 +168,8 @@ def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, check
             best_monitor = monitor
             best_values = net.snapshot()
             if checkpoint_path is not None:
-                from .models import save_checkpoint
-                save_checkpoint(checkpoint_path, net, norm_scale=norm.scale,
-                                meta={"epoch": epoch, "monitor_mde": monitor})
+                models.save_checkpoint(checkpoint_path, net, norm_scale=norm.scale,
+                                       meta={"epoch": epoch, "monitor_mde": monitor})
         history.records.append(EpochRecord(epoch, train_mde, monitor, lr_used,
                                            time.perf_counter() - tick))
         if should_stop:

@@ -23,8 +23,8 @@ from csiloc.data import (Dataset, SplitStrategy, SynthConfig, export_npy, fit_no
 from csiloc.errors import DataFormatError
 from csiloc.evaluation import emit_reports, evaluate, mde, nmde, rmse
 from csiloc.layers import AvgPool1xP, Conv1xK
-from csiloc.models import ArchConfig, build_cnn4, build_fcnn, build_model, count_weights
-from csiloc.network import build_tiny, gradient_check
+from csiloc.models import build_model, build_tiny, count_weights
+from csiloc.network import gradient_check
 from csiloc.npyio import read_npy, write_npy
 from csiloc.train import TrainConfig, train
 
@@ -97,7 +97,7 @@ def test_criterion_3_weight_count_calibration():
         raw = count_weights(net)
         assert abs(raw - target) <= 0.15 * target, f"{kind}: {raw} vs {target}"
         assert raw == count_weights(build_model(kind, None))  # in-code defaults agree
-    assert count_weights(build_fcnn([])) == 88707
+    assert count_weights(build_model("linear")) == 88707
     done(3, "weight-count calibration")
 
 
@@ -112,7 +112,7 @@ def test_criterion_4_schedule_state_machine():
     ds = _schedule_dataset()
     cfg = TrainConfig(max_epochs=250, batch_size=16, seed=2)
 
-    net = build_fcnn([], (2, 2, 8), seed=1)
+    net = build_model("linear", {"seed": 1}, (2, 2, 8))
     net, hist = train(net, ds, cfg, monitor_fn=lambda n, e: 1.0)
     lrs = [r.lr for r in hist.records]
     assert len(hist.records) == 22 and hist.stop_reason == "early_stop"
@@ -121,7 +121,7 @@ def test_criterion_4_schedule_state_machine():
     assert lrs[21] == 1e-3 * 0.1 * 0.1
 
     counter = iter(range(100_000))
-    net = build_fcnn([], (2, 2, 8), seed=1)
+    net = build_model("linear", {"seed": 1}, (2, 2, 8))
     net, hist = train(net, ds, cfg, monitor_fn=lambda n, e: 1000.0 - next(counter))
     assert len(hist.records) == 250 and hist.stop_reason == "max_epochs"
     done(4, "schedule state machine")
@@ -158,7 +158,7 @@ def test_criterion_5_split_geometry():
 
 DESK_SYNTH = SynthConfig(num_samples=2000, num_subcarriers=64, num_reflectors=3,
                          snr_db_range=(10.0, 30.0), seed=42)
-DESK_ARCH = ArchConfig(base_filters=8, growth=1.5, kernel=5, stride=2, head_units=256, seed=3)
+DESK_ARCH = dict(base_filters=8, growth=1.5, kernel=5, stride=2, head_units=256, seed=3)
 DESK_TRAIN = TrainConfig(max_epochs=50, batch_size=32, seed=5)
 
 
@@ -168,11 +168,11 @@ def test_criterion_6_end_to_end_learning_signal():
     train_ds, eval_ds = split(ds, SplitStrategy("random", 0.1, seed=1))
     norm = fit_normalizer(train_ds)
 
-    baseline = build_fcnn([], (2, 16, 64), seed=3)
+    baseline = build_model("linear", {"seed": 3}, (2, 16, 64))
     baseline, _ = train(baseline, train_ds, DESK_TRAIN, norm)
     base_report = evaluate(baseline, eval_ds, norm)
 
-    cnn = build_cnn4(DESK_ARCH, (2, 16, 64))
+    cnn = build_model("cnn4", DESK_ARCH, (2, 16, 64))
     cnn, hist = train(cnn, train_ds, DESK_TRAIN, norm)
     cnn_report = evaluate(cnn, eval_ds, norm)
 
@@ -184,8 +184,8 @@ def test_criterion_6_end_to_end_learning_signal():
 
     # determinism spot check: first two epochs reproduce bit-for-bit
     short = TrainConfig(max_epochs=2, batch_size=32, seed=5)
-    a, ha = train(build_cnn4(DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
-    b, hb = train(build_cnn4(DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
+    a, ha = train(build_model("cnn4", DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
+    b, hb = train(build_model("cnn4", DESK_ARCH, (2, 16, 64)), train_ds, short, norm)
     for pa, pb in zip(a.params(), b.params()):
         npt.assert_array_equal(pa.value, pb.value)
     assert [r.monitor_mde for r in ha.records] == [r.monitor_mde for r in hb.records]
@@ -239,7 +239,7 @@ def test_criterion_8_report_artifact_validity(tmp_path):
     ds = generate_synthetic(SynthConfig(num_samples=300, num_subcarriers=16, seed=88))
     train_ds, eval_ds = split(ds, SplitStrategy("random", 0.2, seed=9))
     norm = fit_normalizer(train_ds)
-    net = build_fcnn([], (2, 16, 16), seed=4)
+    net = build_model("linear", {"seed": 4}, (2, 16, 16))
     net, _ = train(net, train_ds, TrainConfig(max_epochs=3, batch_size=32, seed=6), norm)
     report = evaluate(net, eval_ds, norm)
     paths_a = emit_reports(report, tmp_path / "a")

@@ -6,7 +6,7 @@ import pytest
 from csiloc import layers
 from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, load_canonical, SynthConfig
-from csiloc.models import build_fcnn, count_weights, load_checkpoint, save_checkpoint
+from csiloc.models import build_model, count_weights, load_checkpoint, save_checkpoint
 
 
 DATA_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
@@ -46,6 +46,14 @@ class TestGen:
         out = gen_small(tmp_path)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gen" and manifest["parameters"]["seed"] == 7
+
+    @pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("nan", "10"), ("10", "inf"),
+                                           ("30", "10")])
+    def test_bad_snr_range_fails(self, tmp_path, capsys, low, high):
+        assert run("gen", "--out", tmp_path / "x", "--samples", "5", f"--snr-low={low}",
+                   f"--snr-high={high}") == 1
+        assert "csiloc gen: snr_db_range" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSplit:
@@ -138,7 +146,7 @@ class TestEval:
         ds = Dataset(csi, np.zeros((n, a)), pos)
         data_dir = tmp_path / "eval_data"
         write_canonical(data_dir, ds)
-        net = build_fcnn([], (2, a, w), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, a, w))
         net.params()[0].value[...] = weights
         net.params()[1].value[...] = [3.0, 1.0, 1.0]
         ckpt = tmp_path / "oracle.ckpt"
@@ -244,6 +252,19 @@ class TestConfigFields:
         args = ["--train", gen_small(tmp_path), "--out", tmp_path / "o"] if command == "train" else []
         assert run(command, "--model", "cnn4", "--config", cfg, *args) == 1
         assert "hidden does not apply to cnn4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, flat", [("fcnn", {"seed": 3}), ("linear", {"kernel": 3})])
+    def test_field_of_another_kind_rejected(self, tmp_path, capsys, model, flat):
+        assert run("count-weights", "--model", model, "--config", self.write(tmp_path, flat)) == 1
+        assert f"{next(iter(flat))} does not apply to {model}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("growth", [1e200, 1e308])
+    @pytest.mark.parametrize("command", ["train", "count-weights"])
+    def test_overflowing_growth_fails(self, tmp_path, capsys, command, growth):
+        cfg = self.write(tmp_path, {"growth": growth})
+        args = ["--train", gen_small(tmp_path), "--out", tmp_path / "o"] if command == "train" else []
+        assert run(command, "--model", "cnn4r", "--config", cfg, *args) == 1
+        assert f"csiloc {command}: filter counts overflow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, flat", [
         ("cnn4", {"base_filters": 2, "kernel": 3, "stride": 2, "head_units": 8}),

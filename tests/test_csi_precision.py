@@ -18,6 +18,7 @@ from csiloc.data import (Dataset, NormStats, SynthConfig, apply_normalizer, expo
                          fit_normalizer, generate_synthetic, import_npy, load_canonical,
                          write_canonical)
 from csiloc.evaluation import evaluate
+from csiloc.layers import Flatten
 from csiloc.models import build_model, resolve_arch
 from csiloc.train import TrainConfig, train
 
@@ -58,6 +59,12 @@ class TestDtype:
         out = apply_normalizer(ds.csi[[2, 0]], NormStats(0.5))
         assert out.dtype == np.float64 and out.shape == (2, 2, 2, 8)
         assert ds.csi.dtype == np.float32
+
+    def test_flatten_of_a_normalised_batch_is_a_view(self):
+        # the container view is (N, A, W, 2) in memory; the quotient must be C-ordered
+        # in (N, 2, A, W) so the linear and fcnn models flatten it without a copy
+        batch = apply_normalizer(float32_dataset(4, 2, 8, seed=0).csi[[2, 0]], NormStats(0.5))
+        assert np.shares_memory(Flatten().forward(batch), batch)
 
 
 # (n, antennas, subcarriers, offset); the last three hold over 8,192 values

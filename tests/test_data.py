@@ -10,7 +10,7 @@ from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, antenna
                          apply_normalizer, channel_response, fit_normalizer,
                          generate_synthetic, load_canonical, round_half_up, scene_reflectors, split,
                          split_indices, subcarrier_frequencies, write_canonical,
-                         SPEED_OF_LIGHT)
+                         SPEED_OF_LIGHT, SYNTH_X_RANGE, SYNTH_Y_RANGE)
 from csiloc.errors import DataFormatError, DegenerateGeometryError
 
 
@@ -130,7 +130,7 @@ class TestSyntheticChannel:
         pos = np.array([[3.0, 0.2, 1.1]])
         h = channel_response(self.CFG, pos)
         freqs = subcarrier_frequencies(self.CFG)
-        ants = antenna_positions(self.CFG)
+        ants = antenna_positions()
         delta_f = freqs[1] - freqs[0]
         tau = np.linalg.norm(pos[0] - ants, axis=1) / SPEED_OF_LIGHT
         # phase is affine in f with slope -2*pi*tau
@@ -141,7 +141,7 @@ class TestSyntheticChannel:
     def test_los_gain_is_inverse_distance(self):
         pos = np.array([[2.0, 0.0, 1.0]])
         h = channel_response(self.CFG, pos)
-        d = np.linalg.norm(pos[0] - antenna_positions(self.CFG), axis=1)
+        d = np.linalg.norm(pos[0] - antenna_positions(), axis=1)
         npt.assert_allclose(np.abs(h[0, :, 0]), 1.0 / d, rtol=1e-12)
 
     def test_reflectors_break_flatness(self):
@@ -178,16 +178,8 @@ class TestGenerator:
     def test_positions_inside_extents(self):
         cfg = SynthConfig(num_samples=50, num_subcarriers=16, seed=12)
         ds = generate_synthetic(cfg)
-        assert ds.pos[:, 0].min() >= cfg.x_range[0] and ds.pos[:, 0].max() <= cfg.x_range[1]
-        assert ds.pos[:, 1].min() >= cfg.y_range[0] and ds.pos[:, 1].max() <= cfg.y_range[1]
-
-    def test_transmitter_never_on_antenna(self):
-        # extents deliberately covering the array at the origin
-        cfg = SynthConfig(num_samples=300, num_subcarriers=8, seed=13,
-                          x_range=(-0.05, 0.05), y_range=(-0.5, 0.5), z_range=(0.95, 1.05))
-        ds = generate_synthetic(cfg)
-        d = np.linalg.norm(ds.pos[:, None, :] - antenna_positions(cfg)[None], axis=2)
-        assert d.min() >= 0.01
+        assert ds.pos[:, 0].min() >= SYNTH_X_RANGE[0] and ds.pos[:, 0].max() <= SYNTH_X_RANGE[1]
+        assert ds.pos[:, 1].min() >= SYNTH_Y_RANGE[0] and ds.pos[:, 1].max() <= SYNTH_Y_RANGE[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -196,8 +188,6 @@ class TestGenerator:
             SynthConfig(num_subcarriers=4)
         with pytest.raises(ValueError):
             SynthConfig(num_reflectors=-1)
-        with pytest.raises(ValueError):
-            SynthConfig(x_range=(2.0, 2.0))
 
 
 class TestNormalizer:

@@ -12,8 +12,7 @@ from csiloc.data import Dataset, NormStats, fit_normalizer
 from csiloc.errors import CsilocError
 from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, predict, rmse
 from csiloc.layers import ResidualUnit
-from csiloc.models import ArchConfig, build_fcnn, build_model, count_weights, resolve_arch
-from csiloc.network import build_tiny
+from csiloc.models import ArchConfig, build_model, build_tiny, count_weights, resolve_arch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,7 +122,7 @@ def crafted_linear_dataset(n=12, a=2, w=4, seed=6):
     weights = rng.standard_normal((3, 2 * a * w)) * 0.1
     pos = csi.reshape(n, -1) @ weights.T + np.array([2.0, 1.0, 1.0])
     ds = Dataset(csi, np.zeros((n, a)), pos)
-    net = build_fcnn([], (2, a, w), seed=0)
+    net = build_model("linear", {"seed": 0}, (2, a, w))
     net.params()[0].value[...] = weights
     net.params()[1].value[...] = [2.0, 1.0, 1.0]
     return ds, net
@@ -141,7 +140,7 @@ class TestEvaluate:
         csi = np.zeros((4, 2, 1, 4))
         csi[:, 0, 0, 0] = [1.0, 2.0, 3.0, 4.0]  # arbitrary non-constant, finite
         ds = Dataset(csi, np.zeros((4, 1)), pos)
-        net = build_fcnn([], (2, 1, 4), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, 1, 4))
         net.params()[0].value[...] = 0.0
         net.params()[1].value[...] = [5.0, 0.0, 0.0]
         report = evaluate(net, ds, NormStats(1.0))
@@ -159,7 +158,7 @@ class TestEvaluate:
 
     def test_width_mismatch(self):
         ds, net = crafted_linear_dataset()
-        wrong = build_fcnn([], (2, 2, 5), seed=0)
+        wrong = build_model("linear", {"seed": 0}, (2, 2, 5))
         with pytest.raises(ValueError, match="model expects"):
             evaluate(wrong, ds, NormStats(1.0))
 

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import struct
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -12,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 from csiloc import models
 from csiloc.errors import CheckpointError, ShapeError
 from csiloc.layers import AvgPool1xP, Conv1xK, Dense, ReLU, ResidualUnit
-from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_cnn4, build_cnn4r, build_cnn4s,
-                           build_fcnn, build_model, count_weights, load_checkpoint,
-                           resolve_arch, save_checkpoint, weights_millions)
-from csiloc.network import Network, build_tiny, gradient_check
+from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_model, build_tiny, count_weights,
+                           load_checkpoint, resolve_arch, save_checkpoint, weights_millions)
+from csiloc.network import Network, gradient_check
 
 
 def closed_form_cnn4(f0, growth=1.5, k=7, head=1000, h=16, w=924, s=3, c_in=2):
@@ -42,14 +43,14 @@ def closed_form_resblocks(filters, k, units, c_in):
 
 class TestBuilders:
     def test_cnn4_structure(self):
-        net = build_cnn4()
+        net = build_model("cnn4")
         convs = [l for l in net.layers if isinstance(l, Conv1xK)]
         assert [c.filters for c in convs] == [10, 15, 23, 34]
         assert net.output_shape == (3,)
         assert isinstance(net.layers[-1], Dense) and net.layers[-1].units == 3
 
     def test_cnn4_width_chain_any_f0(self):
-        net = build_cnn4(ArchConfig(base_filters=1, growth=1.0), (2, 16, 924))
+        net = build_model("cnn4", dict(base_filters=1, growth=1.0), (2, 16, 924))
         shape = (2, 16, 924)
         widths = []
         for layer in net.layers:
@@ -59,13 +60,13 @@ class TestBuilders:
         assert widths == [306, 100, 32, 9]
 
     def test_output_always_three(self):
-        for cfg in (ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8),
-                    ArchConfig(base_filters=5, kernel=3, stride=2, head_units=64)):
-            assert build_cnn4(cfg, (2, 4, 40)).output_shape == (3,)
+        for arch in (dict(base_filters=2, kernel=3, stride=2, head_units=8),
+                     dict(base_filters=5, kernel=3, stride=2, head_units=64)):
+            assert build_model("cnn4", arch, (2, 4, 40)).output_shape == (3,)
 
     def test_width_underflow_raises(self):
         with pytest.raises(ShapeError):
-            build_cnn4(ArchConfig(), (2, 16, 64))  # 64 -> 20 -> 5 -> underflow
+            build_model("cnn4", None, (2, 16, 64))  # 64 -> 20 -> 5 -> underflow
 
     @pytest.mark.parametrize("layers,match", [
         ([Dense(5, 3, rng=np.random.default_rng(0)), ReLU()], "linear dense head"),
@@ -76,7 +77,7 @@ class TestBuilders:
             Network(layers, (5,))
 
     def test_cnn4r_conv_counts(self):
-        net = build_cnn4r()
+        net = build_model("cnn4r")
         entries = [l for l in net.layers if isinstance(l, Conv1xK)]
         units = [l for l in net.layers if isinstance(l, ResidualUnit)]
         assert len(entries) == 4 and len(units) == 12
@@ -93,10 +94,10 @@ class TestBuilders:
                     n += 2
             return n
 
-        assert n_convs(build_cnn4s()) == 22 < n_convs(build_cnn4r()) == 28
+        assert n_convs(build_model("cnn4s")) == 22 < n_convs(build_model("cnn4r")) == 28
 
     def test_cnn4s_stem_chain(self):
-        net = build_cnn4s()
+        net = build_model("cnn4s")
         shape = (2, 16, 924)
         widths = []
         for layer in net.layers:
@@ -109,7 +110,7 @@ class TestBuilders:
         assert len(pool) == 1 and pool[0].params() == []
 
     def test_residual_units_preserve_shape(self):
-        net = build_cnn4r(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8), (2, 4, 60))
+        net = build_model("cnn4r", dict(base_filters=2, kernel=3, stride=2, head_units=8), (2, 4, 60))
         shape = (2, 4, 60)
         for layer in net.layers:
             new_shape = layer.out_shape(shape)
@@ -118,15 +119,15 @@ class TestBuilders:
             shape = new_shape
 
     def test_fcnn_and_linear(self):
-        lin = build_fcnn([])
+        lin = build_model("linear")
         assert lin.kind == "linear"
         assert count_weights(lin) == 29568 * 3 + 3 == 88707
-        fc = build_fcnn([10])
+        fc = build_model("fcnn", {"hidden": [10]})
         assert fc.kind == "fcnn"
         assert count_weights(fc) == 29568 * 10 + 10 + 10 * 3 + 3 == 295723
 
     def test_linear_is_exact_linear_map(self):
-        lin = build_fcnn([], (2, 2, 8), seed=5)
+        lin = build_model("linear", {"seed": 5}, (2, 2, 8))
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 2, 2, 8))
         f0 = lin.forward(np.zeros((1, 2, 2, 8)))
@@ -143,20 +144,39 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_model("cnn9")
 
+    @pytest.mark.parametrize("kind", ["cnn4r", "cnn4s"])
+    def test_partial_arch_lies_over_the_kinds_defaults(self, kind):
+        partial = {"kernel": 3, "stride": 2, "head_units": 8, "residual_units_per_block": 1}
+        a = build_model(kind, partial, (2, 4, 128))
+        b = build_model(kind, resolve_arch(kind, partial), (2, 4, 128))
+        assert [l.describe() for l in a.layers] == [l.describe() for l in b.layers]
+        assert a.arch == b.arch and a.arch["base_filters"] == DEFAULT_ARCH[kind].base_filters
+
+
+def test_no_import_inside_a_function():
+    """models, network and train import each other at module level only, so no
+    import cycle is hidden inside a function."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(models.__file__).parent.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
 
 class TestWeightCounts:
     def test_cnn4_frozen(self):
-        net = build_cnn4(ArchConfig(base_filters=10))
+        net = build_model("cnn4", dict(base_filters=10))
         assert count_weights(net) == 4909164 == closed_form_cnn4(10)
 
     def test_cnn4r_frozen(self):
-        net = build_cnn4r()
+        net = build_model("cnn4r")
         expect = (closed_form_resblocks([21, 32, 47, 71], 7, 3, 2)
                   + 1000 * (71 * 16 * 9) + 1000 + 3003)
         assert count_weights(net) == 10634115 == expect
 
     def test_cnn4s_frozen(self):
-        net = build_cnn4s()
+        net = build_model("cnn4s")
         expect = (45 * 2 * 7 + 45
                   + closed_form_resblocks([68, 101, 152], 7, 3, 45)
                   + 1000 * (152 * 16 * 6) + 1000 + 3003)
@@ -168,7 +188,8 @@ class TestWeightCounts:
             assert abs(count_weights(net) - target) <= 0.15 * target
 
     def test_two_code_paths_agree(self):
-        for net in (build_cnn4(), build_cnn4r(), build_cnn4s(), build_fcnn([]), build_fcnn([10])):
+        for net in (build_model("cnn4"), build_model("cnn4r"), build_model("cnn4s"),
+                    build_model("linear"), build_model("fcnn", {"hidden": [10]})):
             assert count_weights(net) == sum(p.size for p in net.params())
 
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
@@ -196,12 +217,12 @@ class TestWeightCounts:
         assert built >= 3
 
     def test_millions_formatting(self):
-        assert weights_millions(build_fcnn([])) == 0.1
+        assert weights_millions(build_model("linear")) == 0.1
 
 
 class TestForward:
     def setup_method(self):
-        self.net = build_cnn4(ArchConfig(base_filters=2, kernel=3, stride=2,
+        self.net = build_model("cnn4", dict(base_filters=2, kernel=3, stride=2,
                                          head_units=8, seed=1), (2, 4, 60))
         self.rng = np.random.default_rng(2)
 
@@ -230,14 +251,14 @@ class TestForward:
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        a = build_cnn4r(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=9), (2, 4, 60))
-        b = build_cnn4r(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=9), (2, 4, 60))
+        a = build_model("cnn4r", dict(base_filters=2, kernel=3, stride=2, head_units=8, seed=9), (2, 4, 60))
+        b = build_model("cnn4r", dict(base_filters=2, kernel=3, stride=2, head_units=8, seed=9), (2, 4, 60))
         for pa, pb in zip(a.params(), b.params()):
             npt.assert_array_equal(pa.value, pb.value)
 
     def test_different_seed_differs(self):
-        a = build_cnn4(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=1), (2, 4, 60))
-        b = build_cnn4(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=2), (2, 4, 60))
+        a = build_model("cnn4", dict(base_filters=2, kernel=3, stride=2, head_units=8, seed=1), (2, 4, 60))
+        b = build_model("cnn4", dict(base_filters=2, kernel=3, stride=2, head_units=8, seed=2), (2, 4, 60))
         assert any((pa.value != pb.value).any() for pa, pb in zip(a.params(), b.params()))
 
 
@@ -359,7 +380,7 @@ class TestCheckpoint:
         return path, load_checkpoint(path)
 
     def test_roundtrip_bit_identical(self, tmp_path):
-        net = build_cnn4(ArchConfig(base_filters=2, kernel=3, stride=2, head_units=8, seed=4), (2, 4, 60))
+        net = build_model("cnn4", dict(base_filters=2, kernel=3, stride=2, head_units=8, seed=4), (2, 4, 60))
         path, (loaded, scale, meta) = self.roundtrip(tmp_path, net)
         assert scale == 2.5 and meta == {"note": "t"}
         assert loaded.kind == "cnn4" and loaded.input_shape == (2, 4, 60)
@@ -367,7 +388,7 @@ class TestCheckpoint:
             npt.assert_array_equal(pa.value, pb.value)
 
     def test_roundtrip_fcnn(self, tmp_path):
-        net = build_fcnn([7, 5], (2, 2, 10), seed=3)
+        net = build_model("fcnn", {"hidden": [7, 5], "seed": 3}, (2, 2, 10))
         _, (loaded, _, _) = self.roundtrip(tmp_path, net)
         assert loaded.kind == "fcnn"
         for pa, pb in zip(net.params(), loaded.params()):
@@ -404,7 +425,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_blob(self, tmp_path):
-        net = build_fcnn([], (2, 2, 4), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, 2, 4))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, net, norm_scale=1.0)
         blob = path.read_bytes()
@@ -413,7 +434,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
-        net = build_fcnn([], (2, 2, 4), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, 2, 4))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, net, norm_scale=1.0)
         path.write_bytes(path.read_bytes() + b"zz")
@@ -421,7 +442,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_count_mismatch(self, tmp_path):
-        net = build_fcnn([], (2, 2, 4), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, 2, 4))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, net, norm_scale=1.0)
         blob = bytearray(path.read_bytes())
@@ -443,7 +464,7 @@ class TestCheckpoint:
         {"kind": ["cnn4"]}, {"norm_scale": "1.0"}, {"norm_scale": True},
     ], ids=repr)
     def test_header_of_wrong_type(self, tmp_path, edit):
-        net = build_fcnn([], (2, 2, 4), seed=0)
+        net = build_model("linear", {"seed": 0}, (2, 2, 4))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, net, norm_scale=1.0)
         blob = path.read_bytes()

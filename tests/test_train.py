@@ -5,8 +5,7 @@ import pytest
 from csiloc.data import Dataset, NormStats
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.layers import Param
-from csiloc.models import build_fcnn, load_checkpoint
-from csiloc.network import build_tiny
+from csiloc.models import build_model, build_tiny, load_checkpoint
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
 
@@ -115,7 +114,7 @@ def linear_task_dataset(n=120, a=2, w=8, seed=3):
 class TestTrainLoop:
     def test_zero_epochs(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         before = [p.value.copy() for p in net.params()]
         net, hist = train(net, ds, TrainConfig(max_epochs=0, batch_size=16, seed=2))
         assert hist.records == [] and hist.stop_reason == "max_epochs"
@@ -124,7 +123,7 @@ class TestTrainLoop:
 
     def test_linear_task_converges(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         # lr 1e-2: the distance loss has unit-magnitude gradients, so the
         # meters-scale offset of this task needs the larger step to be
         # reachable inside 50 epochs
@@ -135,7 +134,7 @@ class TestTrainLoop:
 
     def test_schedule_stub_constant(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         net, hist = train(net, ds, TrainConfig(max_epochs=250, batch_size=16, seed=2),
                           monitor_fn=lambda net, epoch: 1.0)
         assert len(hist.records) == 22
@@ -146,7 +145,7 @@ class TestTrainLoop:
 
     def test_schedule_stub_always_improving(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         counter = iter(range(10_000))
         net, hist = train(net, ds, TrainConfig(max_epochs=250, batch_size=16, seed=2),
                           monitor_fn=lambda net, epoch: 100.0 - next(counter))
@@ -156,14 +155,14 @@ class TestTrainLoop:
 
     def test_early_stop_never_before_patience(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         cfg = TrainConfig(max_epochs=250, batch_size=16, seed=2, lr_patience=2, stop_patience=5)
         net, hist = train(net, ds, cfg, monitor_fn=lambda n, e: 1.0)
         assert len(hist.records) == cfg.stop_patience + 1
 
     def test_lr_sequence_property(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=4)
+        net = build_model("linear", {"seed": 4}, (2, 2, 8))
         net, hist = train(net, ds, TrainConfig(max_epochs=60, batch_size=16, seed=5))
         lrs = [r.lr for r in hist.records]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
@@ -177,8 +176,8 @@ class TestTrainLoop:
     def test_determinism(self):
         ds = linear_task_dataset()
         cfg = TrainConfig(max_epochs=8, batch_size=16, seed=9)
-        n1, h1 = train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg)
-        n2, h2 = train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg)
+        n1, h1 = train(build_model("fcnn", {"hidden": [4], "seed": 6}, (2, 2, 8)), ds, cfg)
+        n2, h2 = train(build_model("fcnn", {"hidden": [4], "seed": 6}, (2, 2, 8)), ds, cfg)
         for a, b in zip(n1.params(), n2.params()):
             npt.assert_array_equal(a.value, b.value)
         for ra, rb in zip(h1.records, h2.records):
@@ -204,7 +203,7 @@ class TestTrainLoop:
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("CSILOC_THREADS", threads)
-            runs.append(train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg))
+            runs.append(train(build_model("fcnn", {"hidden": [4], "seed": 6}, (2, 2, 8)), ds, cfg))
         (n1, h1), (n2, h2) = runs
         for a, b in zip(n1.params(), n2.params()):
             npt.assert_array_equal(a.value, b.value)
@@ -215,9 +214,10 @@ class TestTrainLoop:
         """Raw CSI under a scale trains as the divided CSI does under none."""
         ds = linear_task_dataset()
         cfg = TrainConfig(max_epochs=4, batch_size=16, seed=2)
-        n1, h1 = train(build_fcnn([4], (2, 2, 8), seed=6), ds, cfg, NormStats(3.0),
+        arch = {"hidden": [4], "seed": 6}
+        n1, h1 = train(build_model("fcnn", arch, (2, 2, 8)), ds, cfg, NormStats(3.0),
                        checkpoint_path=tmp_path / "m.ckpt")
-        n2, h2 = train(build_fcnn([4], (2, 2, 8), seed=6), Dataset(ds.csi / 3.0, ds.snr, ds.pos), cfg)
+        n2, h2 = train(build_model("fcnn", arch, (2, 2, 8)), Dataset(ds.csi / 3.0, ds.snr, ds.pos), cfg)
         for a, b in zip(n1.params(), n2.params()):
             npt.assert_array_equal(a.value, b.value)
         assert [(r.train_mde, r.monitor_mde) for r in h1.records] == \
@@ -227,13 +227,13 @@ class TestTrainLoop:
     def test_malformed_thread_cap(self, monkeypatch):
         monkeypatch.setenv("CSILOC_THREADS", "two")
         with pytest.raises(CsilocError, match="CSILOC_THREADS"):
-            train(build_fcnn([], (2, 2, 8), seed=1), linear_task_dataset(),
+            train(build_model("linear", {"seed": 1}, (2, 2, 8)), linear_task_dataset(),
                   TrainConfig(max_epochs=1, batch_size=16),
                   monitor_fn=lambda net, epoch: pytest.fail("an epoch ran"))
 
     def test_best_weight_restoration(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=7)
+        net = build_model("linear", {"seed": 7}, (2, 2, 8))
         net, hist = train(net, ds, TrainConfig(max_epochs=30, batch_size=16, seed=8))
         best_recorded = min(r.monitor_mde for r in hist.records)
         # recompute the monitor on the returned weights: identical holdout split
@@ -247,7 +247,7 @@ class TestTrainLoop:
 
     def test_single_small_step_decreases_loss(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=10)
+        net = build_model("linear", {"seed": 10}, (2, 2, 8))
         x, y = ds.csi[:16], ds.pos[:16]
         loss0, grad = mde_loss(net.forward(x), y)
         net.zero_grads()
@@ -260,13 +260,13 @@ class TestTrainLoop:
 
     def test_dataset_too_small(self):
         ds = linear_task_dataset(n=20)
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         with pytest.raises(ValueError, match="too small"):
             train(net, ds, TrainConfig(batch_size=32))
 
     def test_poisoned_weights_divergence(self):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         net.params()[0].value[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError) as err:
             train(net, ds, TrainConfig(max_epochs=5, batch_size=16, seed=2))
@@ -274,7 +274,7 @@ class TestTrainLoop:
 
     def test_history_csv(self, tmp_path):
         ds = linear_task_dataset()
-        net = build_fcnn([], (2, 2, 8), seed=1)
+        net = build_model("linear", {"seed": 1}, (2, 2, 8))
         net, hist = train(net, ds, TrainConfig(max_epochs=3, batch_size=16, seed=2))
         path = tmp_path / "history.csv"
         hist.to_csv(path)
