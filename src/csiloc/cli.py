@@ -18,7 +18,7 @@ from . import __version__
 from .data import (NormStats, SplitStrategy, SynthConfig, fit_normalizer, generate_synthetic,
                    import_npy, load_canonical, split, write_canonical)
 from .errors import CsilocError
-from .models import (ArchConfig, MODEL_KINDS, build_model, build_tiny, count_weights,
+from .models import (ArchConfig, MODEL_KINDS, _weights_to_build, build_model, build_tiny,
                      load_checkpoint, resolve_arch, save_checkpoint, weights_millions)
 from . import network
 from .train import TrainConfig, train
@@ -208,9 +208,10 @@ def cmd_count_weights(args):
     arch_fields, train_kw = _split_config(_load_config_file(args.config))
     if train_kw:
         raise CsilocError(f"count-weights config must not carry training fields: {sorted(train_kw)}")
-    net = build_model(args.model, resolve_arch(args.model, arch_fields),
-                      (2, args.antennas, args.subcarriers))
-    print(f"{count_weights(net)} {weights_millions(net)}")
+    # counted from the architecture's numbers: building it would allocate every weight
+    count = _weights_to_build(args.model, resolve_arch(args.model, arch_fields),
+                              (2, args.antennas, args.subcarriers))
+    print(f"{count} {weights_millions(count)}")
     return 0
 
 

@@ -13,7 +13,6 @@ two conventions cannot be confused.
 """
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from .data import Dataset, NormStats, apply_normalizer
 from .errors import CsilocError
+from .layers import _threads, share_threads
 from .models import count_weights
 
 _EVAL_CHUNK = 256
@@ -73,26 +73,22 @@ class EvalReport:
         return len(self.distance_error)
 
 
-def _threads():
-    cap = os.environ.get("CSILOC_THREADS", "").strip() or str(os.cpu_count() or 1)
-    if not cap.isdecimal() or int(cap) < 1:
-        raise CsilocError(f"CSILOC_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
-
-
 def predict(net, x, norm):
     """Position estimates for raw CSI, divided by norm's scale and forwarded in
     fixed-size chunks, so only the chunks in flight are float64. Up to
-    CSILOC_THREADS workers run the chunks; results are gathered in submission
-    order, so they do not depend on the worker count.
+    CSILOC_THREADS workers run the chunks, each with an equal share of those
+    threads for its conv forwards; results are gathered in submission order,
+    so they do not depend on the worker count.
     """
     def forward(chunk):
         return net.forward(apply_normalizer(chunk, norm))
 
     chunks = [x[s:s + _EVAL_CHUNK] for s in range(0, len(x), _EVAL_CHUNK)]
-    workers = min(_threads(), len(chunks))
+    threads = _threads()
+    workers = min(threads, len(chunks))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=share_threads,
+                                initargs=(threads // workers,)) as pool:
             return np.vstack(list(pool.map(forward, chunks)))
     return np.vstack([forward(c) for c in chunks])
 

@@ -11,8 +11,11 @@ reference (same sequence of IEEE multiply/adds per output element). The conv
 forward runs that sequence in a filter-major (F, B*H*W_out) accumulator: per
 (channel, tap) it copies the strided input window into one contiguous row,
 multiplies it by the tap's filter column and adds the product, so every ufunc
-sweeps long contiguous runs. The conv backward is one BLAS product per kernel
-tap: equal to the loop only to rounding.
+sweeps long contiguous runs. Up to CSILOC_THREADS threads run that sequence
+at once, each over its own batch slice of the accumulator's columns (slices
+of at least _SPLIT_FLOOR output elements), so the output bits do not depend on
+the thread count. The conv backward is one BLAS product per kernel tap: equal
+to the loop only to rounding.
 
 Layers keep no per-call state. `forward(x, tape)` pushes what its backward
 needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
@@ -21,11 +24,41 @@ tape (inference) nothing is kept: each activation is freed once the next
 layer is done with it, and concurrent forwards share nothing mutable.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-from .errors import ShapeError
+from .errors import CsilocError, ShapeError
 
 DTYPE = np.float64
+
+# a conv forward splits its batch only while each slice holds this many output
+# elements; below it, handing a slice to another thread costs more than it saves
+_SPLIT_FLOOR = 1 << 15
+# the threads that sweep a conv forward's slices beyond the caller's own; it
+# starts each thread at a submit that finds none idle, and its tasks never
+# wait on it, so a conv forward cannot deadlock on a busy pool
+_POOL = ThreadPoolExecutor(thread_name_prefix="csiloc-conv")
+_SHARE = threading.local()
+
+
+def _threads():
+    """Threads this thread may run: the share of the budget that share_threads gave
+    it, else CSILOC_THREADS, else the CPU count."""
+    share = getattr(_SHARE, "threads", None)
+    if share is not None:
+        return share
+    cap = os.environ.get("CSILOC_THREADS", "").strip() or str(os.cpu_count() or 1)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise CsilocError(f"CSILOC_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
+def share_threads(threads):
+    """Cap _threads() at threads on the calling thread (a worker's part of a budget)."""
+    _SHARE.threads = threads
 
 
 def conv_out_width(width, kernel, stride):
@@ -157,21 +190,41 @@ class Conv1xK(Layer):
         w_out = conv_out_width(xp.shape[3], self.kernel, self.stride)
         batch, _, height, _ = x.shape
         s, k, f = self.stride, self.kernel, self.filters
-        wv = self.w.value
+        wv, bias = self.w.value, self.b.value[:, None]
+        hw = height * w_out
         # filter-major accumulation: acc[f, (b, h, w)] gets 0, then += w[f, c, t] * x
         # for each (c, t), channel-outer, tap-inner, then the bias (matches naive loop)
-        acc = np.zeros((f, batch * height * w_out), dtype=DTYPE)
+        acc = np.zeros((f, batch * hw), dtype=DTYPE)
         tmp = np.empty_like(acc)
         row = np.empty(acc.shape[1], dtype=DTYPE)
-        win = row.reshape(batch, height, w_out)
-        for c in range(self.in_channels):
-            plane = xp[:, c]
-            for t in range(k):
-                win[...] = plane[:, :, t:t + s * w_out:s]
-                np.multiply(wv[:, c, 0, t][:, None], row, out=tmp)
-                acc += tmp
+
+        def sweep(lo, hi):
+            """The whole sequence over samples [lo, hi): their columns of the one buffer."""
+            cols = slice(lo * hw, hi * hw)
+            part, scratch, line = acc[:, cols], tmp[:, cols], row[cols]
+            win = line.reshape(hi - lo, height, w_out)
+            for c in range(self.in_channels):
+                plane = xp[lo:hi, c]
+                for t in range(k):
+                    win[...] = plane[:, :, t:t + s * w_out:s]
+                    np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
+                    part += scratch
+            part += bias
+
+        # batch slices of at least _SPLIT_FLOOR output elements, one per thread;
+        # the caller sweeps the first while the pool sweeps the rest
+        least = -(-_SPLIT_FLOOR // (f * hw))   # samples per slice
+        n = max(1, min(_threads(), batch // least))
+        bounds = [batch * i // n for i in range(n + 1)]
+        slices = list(zip(bounds, bounds[1:]))
+        futures = [_POOL.submit(sweep, lo, hi) for lo, hi in slices[1:]]
+        sweep(*slices[0])
+        for future, (lo, hi) in zip(futures, slices[1:]):
+            if future.cancel():   # no pool thread has started it (its core is busy)
+                sweep(lo, hi)
+            else:
+                future.result()
         del tmp  # before the output copy, so at most two output-sized arrays are live
-        acc += self.b.value[:, None]
         out = np.ascontiguousarray(acc.reshape(f, batch, height, w_out).transpose(1, 0, 2, 3))
         self._push(tape, (xp, x.shape[3], left, w_out))
         return out

@@ -82,7 +82,10 @@ def _merged_arch(kind, fields):
     unknown = sorted(set(fields) - set(defaults))
     if unknown:
         raise ValueError(f"{', '.join(unknown)} does not apply to {kind}")
-    return {**defaults, **fields}
+    merged = {**defaults, **fields}
+    if kind == "linear" and merged["hidden"]:
+        raise ValueError("linear model takes no hidden layers")
+    return merged
 
 
 # shrunken geometry per architecture: W=60 and stride defaults would underflow
@@ -199,8 +202,6 @@ def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
     if kind in DEFAULT_ARCH:
         return _build_cnn(kind, ArchConfig(**arch), input_shape)
     hidden, seed = list(arch["hidden"]), arch["seed"]
-    if kind == "linear" and hidden:
-        raise ValueError("linear model takes no hidden layers")
     rng = np.random.default_rng(seed)
     labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
     layers = _dense_chain(_fcnn_widths(hidden, input_shape)[0], labelled, rng)
@@ -228,9 +229,9 @@ def _weights_to_build(kind, arch, input_shape):
     return total + sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
-def weights_millions(net):
-    """count_weights in 1e6 units with one decimal, as reported in summaries."""
-    return round(count_weights(net) / 1e6, 1)
+def weights_millions(count):
+    """A weight count in 1e6 units with one decimal, as count-weights prints it."""
+    return round(count / 1e6, 1)
 
 
 # --- checkpoint format -----------------------------------------------------

@@ -15,7 +15,8 @@ import numpy as np
 from . import models
 from .data import NormStats, apply_normalizer, round_half_up
 from .errors import TrainingDivergedError
-from .evaluation import _threads, mde, predict, write_csv
+from .evaluation import mde, predict, write_csv
+from .layers import _threads
 from .network import mde_loss
 
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience

@@ -118,3 +118,15 @@ def pytest_terminal_summary(terminalreporter):
     for number, name, passed in sorted(_ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number} [{name}]: {status}")
+
+
+class CountingPool:
+    """Stands in for the conv pool and counts the batch slices handed to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)

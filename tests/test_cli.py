@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,21 @@ class TestCountWeights:
         with pytest.raises(SystemExit) as exc:
             run("count-weights", "--model", "resnet50")
         assert exc.value.code == 2
+
+    def test_counts_without_building(self, capsys):
+        tracemalloc.start()
+        try:
+            assert run("count-weights", "--model", "cnn4s") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.strip() == "16368903 16.4"
+        assert peak < 5e6   # building cnn4s at 16 x 924 allocates about 390 MB
+
+    def test_linear_with_hidden_layers_fails(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"hidden": [4]}))
+        assert run("count-weights", "--model", "linear", "--config", tmp_path / "cfg.json") == 1
+        assert "csiloc count-weights: linear model takes no hidden layers" in capsys.readouterr().err
 
 
 class TestImport:

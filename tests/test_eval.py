@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -8,13 +11,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from csiloc.data import Dataset, NormStats, fit_normalizer
+from csiloc import layers
+from csiloc.data import Dataset, NormStats, SynthConfig, fit_normalizer, generate_synthetic, write_canonical
 from csiloc.errors import CsilocError
 from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, predict, rmse
 from csiloc.layers import ResidualUnit
-from csiloc.models import ArchConfig, build_model, build_tiny, count_weights, resolve_arch
+from csiloc.models import ArchConfig, build_model, build_tiny, count_weights, resolve_arch, save_checkpoint
+
+from conftest import CountingPool
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_mde(errors):
@@ -263,6 +270,45 @@ def _arrays_held(layer):
     return [name for name, value in vars(layer).items() if holds(value)]
 
 
+def desk_cnn4r():
+    flat = json.loads((CONFIGS / "desk64_cnn4.json").read_text())
+    arch_fields = {f.name for f in fields(ArchConfig)}
+    return build_model("cnn4r", resolve_arch("cnn4r", {k: v for k, v in flat.items() if k in arch_fields}),
+                       (2, 16, 64))
+
+
+class TestThreadBudget:
+    """predict's chunk workers and the conv forwards inside them share CSILOC_THREADS."""
+
+    def test_chunk_workers_split_no_conv(self, monkeypatch):
+        net = desk_cnn4r()   # its block-1 convs split a 256-sample chunk on two threads
+        x = np.random.default_rng(32).standard_normal((2 * 256 + 1,) + net.input_shape)  # three chunks
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = predict(net, x, NormStats(2.0))
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
+        assert pool.submits == 0      # two workers with one thread each
+        npt.assert_array_equal(predict(net, x[:256], NormStats(2.0)), serial[:256])
+        assert pool.submits > 0       # one chunk: its worker has both threads
+
+    def test_eval_process_exits(self, tmp_path):
+        """A pool thread left running would keep csiloc eval's interpreter alive."""
+        # 40 samples: the block-1 convs split, so the pool has started a thread
+        write_canonical(tmp_path / "eval", generate_synthetic(
+            SynthConfig(num_samples=40, num_subcarriers=64, seed=2)))
+        save_checkpoint(tmp_path / "model.ckpt", desk_cnn4r(), norm_scale=1.0)
+        env = {**os.environ, "CSILOC_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "csiloc.cli", "eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+             "--eval", str(tmp_path / "eval"), "--out", str(tmp_path / "report")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "evaluated 40 samples" in done.stdout
+
+
 class TestStatelessInference:
     """predict keeps nothing on the layers, so its threads share no mutable state."""
 
@@ -281,10 +327,7 @@ class TestStatelessInference:
         assert not any(held.values()), held
 
     def test_desk_cnn4r_predict_memory(self):
-        flat = json.loads((CONFIGS / "desk64_cnn4.json").read_text())
-        arch_fields = {f.name for f in fields(ArchConfig)}
-        arch = resolve_arch("cnn4r", {k: v for k, v in flat.items() if k in arch_fields})
-        net = build_model("cnn4r", arch, (2, 16, 64))
+        net = desk_cnn4r()
         x = np.random.default_rng(31).standard_normal((128, 2, 16, 64))
         tracemalloc.start()
         try:

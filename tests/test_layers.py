@@ -1,16 +1,19 @@
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csiloc.errors import ShapeError
+from csiloc import layers
+from csiloc.errors import CsilocError, ShapeError
 from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit,
                            conv_out_width, same_padding)
 
-from conftest import fd_layer_check, naive_avgpool1xp, naive_conv1xk, naive_conv1xk_backward
+from conftest import CountingPool, fd_layer_check, naive_avgpool1xp, naive_conv1xk, naive_conv1xk_backward
 
 
 def make_conv(c_in, f, k, s, padding="valid", seed=0):
@@ -168,6 +171,101 @@ class TestConvForward:
             conv.forward(np.zeros((1, 2, 1, 20)))  # wrong channel count
         with pytest.raises(ShapeError):
             conv_out_width(2, 7, 3)
+
+
+class TestConvSplit:
+    """The batch slices of a conv forward keep every output's naive IEEE sequence."""
+
+    # (batch, channels, filters, height, width, kernel, stride, padding), and the
+    # slice count for 1, 2 and 3 threads; floor is the output elements per slice
+    @pytest.mark.parametrize("shape,slices", [
+        ((1, 1, 8, 4, 1026, 3, 1, "valid"), (1, 1, 1)),       # batch 1: 32768 per sample
+        ((7, 1, 4, 4, 1026, 3, 1, "valid"), (1, 2, 3)),       # 16384 per sample: slices of 2+ samples
+        ((2, 1, 7, 31, 152, 2, 1, "valid"), (1, 1, 1)),       # 32767 per sample: just under the floor
+        ((2, 1, 8, 32, 129, 2, 1, "valid"), (1, 2, 2)),       # 32768 per sample: on the floor
+        ((3, 1, 4, 8, 1024, 3, 1, "same"), (1, 2, 3)),
+        ((3, 1, 4, 8, 5117, 2, 5, "valid"), (1, 2, 3)),       # stride > kernel
+    ], ids=["batch1", "batch7", "under_floor", "on_floor", "same", "stride_gt_kernel"])
+    def test_bitwise_for_each_thread_count(self, monkeypatch, shape, slices):
+        b, c, f, h, w, k, s, padding = shape
+        conv = make_conv(c, f, k, s, padding, seed=47)
+        x = np.random.default_rng(48).standard_normal((b, c, h, w))
+        ref = TestConvForward.naive_batch(conv, x)
+        for threads, expect in zip((1, 2, 3), slices):
+            pool = CountingPool(layers._POOL)
+            monkeypatch.setattr(layers, "_POOL", pool)
+            monkeypatch.setenv("CSILOC_THREADS", str(threads))
+            out = conv.forward(x)
+            assert pool.submits + 1 == expect, threads
+            npt.assert_array_equal(out, ref)
+            assert out.flags.c_contiguous
+
+    def test_caller_sweeps_slices_no_thread_started(self, monkeypatch):
+        class Unstarted(Future):
+            def result(self, timeout=None):
+                raise AssertionError("waited on a slice that no thread has started")
+
+        class StalledPool:
+            def submit(self, *args):
+                return Unstarted()
+
+        monkeypatch.setattr(layers, "_POOL", StalledPool())
+        monkeypatch.setenv("CSILOC_THREADS", "3")
+        conv = make_conv(1, 4, 3, 1, "same", seed=51)
+        x = np.random.default_rng(52).standard_normal((3, 1, 8, 1024))
+        npt.assert_array_equal(conv.forward(x), TestConvForward.naive_batch(conv, x))
+
+    def test_concurrent_split_forwards(self, monkeypatch):
+        """Callers racing for the pool, some sweeping slices it has not started, get the serial bits."""
+        rng = np.random.default_rng(53)
+        conv = make_conv(4, 6, 5, 1, "same", seed=54)
+        xs = [rng.standard_normal((24, 4, 16, 64)) for _ in range(4)]  # three slices each
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = [conv.forward(x).tobytes() for x in xs]
+        monkeypatch.setenv("CSILOC_THREADS", "3")
+        start = threading.Barrier(len(xs))
+        matches = [0] * len(xs)
+
+        def run(i):
+            start.wait()
+            for _ in range(5):
+                matches[i] += conv.forward(xs[i]).tobytes() == serial[i]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matches == [5] * len(xs)
+
+    def test_split_allocates_nothing_more(self, monkeypatch):
+        conv = make_conv(4, 8, 5, 1, "same", seed=49)
+        x = np.random.default_rng(50).standard_normal((16, 4, 16, 64))
+        peaks = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            conv.forward(x)   # the pool's threads start outside the traced call
+            tracemalloc.start()
+            try:
+                conv.forward(x)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the slices are views of one accumulator; the futures cost a few hundred bytes
+        assert peaks["2"] <= peaks["1"] + 16384, peaks
+        assert peaks["1"] > 8 * 16 * 16 * 64 * 8 * 2
+
+    def test_malformed_thread_count_raises(self, monkeypatch):
+        conv = make_conv(1, 1, 3, 1)
+        for cap in ("two", "0", "-3", "1.5"):
+            monkeypatch.setenv("CSILOC_THREADS", cap)
+            with pytest.raises(CsilocError, match="CSILOC_THREADS"):
+                conv.forward(np.zeros((1, 1, 1, 8)))
 
 
 class TestConvBackward:

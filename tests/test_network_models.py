@@ -217,7 +217,7 @@ class TestWeightCounts:
         assert built >= 3
 
     def test_millions_formatting(self):
-        assert weights_millions(build_model("linear")) == 0.1
+        assert weights_millions(count_weights(build_model("linear"))) == 0.1
 
 
 class TestForward:
