@@ -15,11 +15,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (NormStats, SplitStrategy, SynthConfig, fit_normalizer, generate_synthetic,
-                   import_npy, load_canonical, split, write_canonical)
+from .data import (SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig, fit_normalizer,
+                   generate_synthetic, import_npy, load_canonical, make_output_dir, split,
+                   write_canonical)
 from .errors import CsilocError
-from .models import (ArchConfig, MODEL_KINDS, _weights_to_build, build_model, build_tiny,
-                     load_checkpoint, resolve_arch, save_checkpoint, weights_millions)
+from .models import (DEFAULT_ARCH, DEFAULT_INPUT_SHAPE, MODEL_KINDS, ArchConfig, _weights_to_build,
+                     build_model, build_tiny, load_checkpoint, save_checkpoint, weights_millions)
 from . import network
 from .train import TrainConfig, train
 from .evaluation import evaluate, emit_reports
@@ -58,7 +59,6 @@ def _write_manifest(directory, command, params, started):
         "started_utc": started,
         "ended_utc": _utc_now(),
     }
-    Path(directory).mkdir(parents=True, exist_ok=True)
     (Path(directory) / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -82,8 +82,9 @@ def _fits(value, kind):
     return isinstance(value, int) if kind is int else isinstance(value, (int, float))
 
 
-def _split_config(flat):
-    """Partition a flat config dict into (architecture fields, TrainConfig kwargs)."""
+def _split_config(flat, kind):
+    """Partition a flat config dict into (architecture fields, TrainConfig kwargs). Its
+    seed is the CNN init seed, which fcnn and linear do not take; train_seed seeds training."""
     arch_fields = ArchConfig.__dataclass_fields__
     train_fields = TrainConfig.__dataclass_fields__
     arch, train_kw = {}, {}
@@ -100,6 +101,8 @@ def _split_config(flat):
         if not ok:
             raise CsilocError(f"config field {key!r} has the wrong type: {value!r}")
         dest[name] = value
+    if "seed" in arch and kind not in DEFAULT_ARCH:
+        raise CsilocError(f"seed does not apply to {kind}")
     return arch, train_kw
 
 
@@ -144,7 +147,7 @@ def cmd_split(args):
 def cmd_train(args):
     started = _utc_now()
     ds = load_canonical(args.train)
-    arch_fields, train_kw = _split_config(_load_config_file(args.config))
+    arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
     if args.seed is not None:
         train_kw["seed"] = args.seed
     if args.max_epochs is not None:
@@ -153,12 +156,10 @@ def cmd_train(args):
         train_kw["batch_size"] = args.batch_size
     train_cfg = TrainConfig(**train_kw)
 
-    arch = resolve_arch(args.model, arch_fields)
-    net = build_model(args.model, arch, (2, ds.n_antennas, ds.n_subcarriers))
+    net = build_model(args.model, arch_fields, (2, ds.n_antennas, ds.n_subcarriers))
 
     norm = fit_normalizer(ds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(args.out)
     ckpt = out / "model.ckpt"
     net, history = train(net, ds, train_cfg, norm, checkpoint_path=ckpt)
     save_checkpoint(ckpt, net, norm_scale=norm.scale,
@@ -166,7 +167,7 @@ def cmd_train(args):
     history.to_csv(out / "history.csv")
     _write_manifest(out, "train", {"train": str(args.train), "model": args.model,
                                    "config_file": None if args.config is None else str(args.config),
-                                   "arch": arch, "train_config": asdict(train_cfg),
+                                   "arch": net.arch, "train_config": asdict(train_cfg),
                                    "out": str(out)}, started)
     last = history.records[-1] if history.records else None
     print(f"trained {args.model} for {len(history.records)} epochs "
@@ -205,12 +206,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_count_weights(args):
-    arch_fields, train_kw = _split_config(_load_config_file(args.config))
+    arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
     if train_kw:
         raise CsilocError(f"count-weights config must not carry training fields: {sorted(train_kw)}")
     # counted from the architecture's numbers: building it would allocate every weight
-    count = _weights_to_build(args.model, resolve_arch(args.model, arch_fields),
-                              (2, args.antennas, args.subcarriers))
+    count = _weights_to_build(args.model, arch_fields, (2, args.antennas, args.subcarriers))
     print(f"{count} {weights_millions(count)}")
     return 0
 
@@ -224,11 +224,11 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--subcarriers", type=_positive_int, default=64)
-    p.add_argument("--reflectors", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--snr-low", type=float, default=10.0)
-    p.add_argument("--snr-high", type=float, default=30.0)
+    p.add_argument("--subcarriers", type=_positive_int, default=SynthConfig.num_subcarriers)
+    p.add_argument("--reflectors", type=int, default=SynthConfig.num_reflectors)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--snr-low", type=float, default=SynthConfig.snr_db_range[0])
+    p.add_argument("--snr-high", type=float, default=SynthConfig.snr_db_range[1])
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("import", help="import NPY dumps into the canonical container")
@@ -240,9 +240,9 @@ def build_parser():
 
     p = sub.add_parser("split", help="split a dataset into train/ and eval/")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", required=True, choices=["random", "narrow", "wide", "within"])
-    p.add_argument("--fraction", type=_fraction, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", required=True, choices=SPLIT_KINDS)
+    p.add_argument("--fraction", type=_fraction, default=SplitStrategy.eval_fraction)
+    p.add_argument("--seed", type=int, default=SplitStrategy.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -270,8 +270,8 @@ def build_parser():
     p = sub.add_parser("count-weights", help="print trainable weight count")
     p.add_argument("--model", required=True, choices=list(MODEL_KINDS))
     p.add_argument("--config", default=None)
-    p.add_argument("--subcarriers", type=_positive_int, default=924)
-    p.add_argument("--antennas", type=_positive_int, default=16)
+    p.add_argument("--subcarriers", type=_positive_int, default=DEFAULT_INPUT_SHAPE[2])
+    p.add_argument("--antennas", type=_positive_int, default=DEFAULT_INPUT_SHAPE[1])
     p.set_defaults(func=cmd_count_weights)
 
     return parser

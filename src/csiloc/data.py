@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateGeometryError
+from .errors import CsilocError, DataFormatError, DegenerateGeometryError
 from .npyio import read_npy, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -89,9 +89,18 @@ class Dataset:
 #   snr.f32  n * antennas
 #   pos.f32  n * 3
 
-def write_canonical(directory, ds: Dataset):
+def make_output_dir(directory):
+    """directory as a Path, made with its parents; an OSError becomes a CsilocError."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CsilocError(f"cannot make output directory {directory}: {e.strerror or e}") from e
+    return directory
+
+
+def write_canonical(directory, ds: Dataset):
+    directory = make_output_dir(directory)
     meta = {
         "format_version": 1,
         "n": len(ds),
@@ -178,8 +187,7 @@ def import_npy(csi_path, snr_path, pos_path) -> Dataset:
 
 def export_npy(directory, ds: Dataset):
     """Write the complex64/float32 NPY triple the importer accepts."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_output_dir(directory)
     h = (ds.csi[:, 0] + 1j * ds.csi[:, 1]).astype(np.complex64)
     write_npy(directory / "csi.npy", h)
     write_npy(directory / "snr.npy", ds.snr.astype(np.float32))

@@ -15,11 +15,10 @@ two conventions cannot be confused.
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, NormStats, apply_normalizer
+from .data import Dataset, NormStats, apply_normalizer, make_output_dir
 from .errors import CsilocError
 from .layers import _threads, share_threads
 from .models import count_weights
@@ -140,8 +139,7 @@ def emit_reports(report: EvalReport, out_dir):
     """Write cdf.csv, err_hist.csv, quiver.csv and summary.json; returns their paths."""
     if report.n_samples == 0:
         raise ValueError("cannot emit reports for an empty evaluation")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     n = report.n_samples
 
     errors = np.sort(report.distance_error, kind="stable")

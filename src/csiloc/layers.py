@@ -408,10 +408,4 @@ class ResidualUnit(Layer):
         return g_main + g
 
     def out_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[0] != self.filters:
-            raise ShapeError(f"residual unit {self.label or ''} expects (C={self.filters},H,W), got {in_shape}")
-        shape = self.relu_mid.out_shape(self.conv_a.out_shape(in_shape))
-        shape = self.conv_b.out_shape(shape)
-        if shape != tuple(in_shape):
-            raise ShapeError(f"residual unit does not preserve shape: {in_shape} -> {shape}")
-        return tuple(in_shape)
+        return self.conv_b.out_shape(self.conv_a.out_shape(in_shape))

@@ -183,17 +183,6 @@ def _fcnn_widths(hidden, input_shape):
     return [math.prod(input_shape), *hidden, 3]
 
 
-def resolve_arch(kind, flat):
-    """The architecture dict build_model builds, from a kind and its config fields.
-
-    seed is an ArchConfig field, so the CLI's config carries it into flat; it is
-    not a config field of fcnn or linear, whose seed stays 0.
-    """
-    if kind not in DEFAULT_ARCH and "seed" in flat:
-        raise ValueError(f"seed does not apply to {kind}")
-    return _merged_arch(kind, flat)
-
-
 def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
     """The one model builder, dispatched on the kind string used by checkpoints and
     the CLI. arch holds any subset of the kind's fields; the rest are its defaults.
@@ -269,7 +258,10 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
 
 def load_checkpoint(path):
     """Rebuild the network and restore weights; returns (net, norm_scale, meta)."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read: {e.strerror or e}") from e
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path}: bad magic; not a CSILOC1 checkpoint")
     nl = blob.find(b"\n", len(CHECKPOINT_MAGIC))

@@ -48,11 +48,7 @@ class Network:
 
     def named_params(self):
         """(label, Param) pairs in checkpoint order, for diagnostics."""
-        items = []
-        for i, layer in enumerate(self.layers):
-            base = layer.label or f"{type(layer).__name__.lower()}[{i}]"
-            items += [(f"{base}.{name}", p) for name, p in layer.named_params()]
-        return items
+        return [(f"{layer.label}.{name}", p) for layer in self.layers for name, p in layer.named_params()]
 
     def zero_grads(self):
         for layer in self.layers:

@@ -22,8 +22,11 @@ SUPPORTED_DESCRS = ("<f4", "<f8", "<c8")
 
 def read_npy(path):
     """The file's array as a read-only view of the bytes read (no copy)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise DataFormatError(f"{path}: cannot read: {e.strerror or e}") from e
     stream = io.BytesIO(blob)
     try:
         version = npy_format.read_magic(stream)

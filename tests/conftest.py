@@ -7,10 +7,22 @@ backward reference is the channel x tap loop; the layer's per-tap matrix
 products match it to rounding, and its bias gradient bit for bit.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csiloc.layers import same_padding
+from csiloc.models import ArchConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def desk_arch():
+    """The architecture fields of configs/desk64_cnn4.json, the desk-width model."""
+    flat = json.loads((CONFIGS / "desk64_cnn4.json").read_text())
+    return {k: v for k, v in flat.items() if k in ArchConfig.__dataclass_fields__}
 
 
 def naive_conv1xk(x, w, b, stride, padding="valid"):

@@ -9,7 +9,6 @@ only in shape (criterion 7), never as numeric targets.
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -28,9 +27,7 @@ from csiloc.network import gradient_check
 from csiloc.npyio import read_npy, write_npy
 from csiloc.train import TrainConfig, train
 
-from conftest import naive_avgpool1xp, naive_conv1xk, record_acceptance
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS, desk_arch, naive_avgpool1xp, naive_conv1xk, record_acceptance
 
 
 def done(number, name):
@@ -92,7 +89,7 @@ def test_criterion_2_layer_and_metric_oracles():
 def test_criterion_3_weight_count_calibration():
     published = {"cnn4": 5.3e6, "cnn4r": 10.8e6, "cnn4s": 16.3e6}
     for kind, target in published.items():
-        shipped = json.loads((CONFIG_DIR / f"{kind}.json").read_text())
+        shipped = json.loads((CONFIGS / f"{kind}.json").read_text())
         net = build_model(kind, shipped)
         raw = count_weights(net)
         assert abs(raw - target) <= 0.15 * target, f"{kind}: {raw} vs {target}"
@@ -158,7 +155,7 @@ def test_criterion_5_split_geometry():
 
 DESK_SYNTH = SynthConfig(num_samples=2000, num_subcarriers=64, num_reflectors=3,
                          snr_db_range=(10.0, 30.0), seed=42)
-DESK_ARCH = dict(base_filters=8, growth=1.5, kernel=5, stride=2, head_units=256, seed=3)
+DESK_ARCH = desk_arch()
 DESK_TRAIN = TrainConfig(max_epochs=50, batch_size=32, seed=5)
 
 

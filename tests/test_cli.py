@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ import pytest
 from csiloc import layers
 from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, load_canonical, SynthConfig
-from csiloc.models import build_model, count_weights, load_checkpoint, save_checkpoint
+from csiloc.models import DEFAULT_ARCH, build_model, count_weights, load_checkpoint, save_checkpoint
+from csiloc.train import TrainConfig
+
+from conftest import CONFIGS, desk_arch
 
 
 DATA_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
@@ -356,3 +361,81 @@ class TestImport:
                    "--pos", raw / "pos.npy", "--out", out) == 0
         back = load_canonical(out)
         assert len(back) == 6 and back.n_subcarriers == 16
+
+
+# each command's path options: read as a file, read as a directory, or made as an output directory
+PATH_OPTIONS = {
+    "gen": {"--out": "out"},
+    "import": {"--csi": "file", "--snr": "file", "--pos": "file", "--out": "out"},
+    "split": {"--data": "dir", "--out": "out"},
+    "train": {"--train": "dir", "--config": "file", "--out": "out"},
+    "eval": {"--checkpoint": "file", "--eval": "dir", "--out": "out"},
+    "count-weights": {"--config": "file"},
+}
+BAD_PATHS = {"file": ("missing", "a directory"), "dir": ("missing", "a file"),
+             "out": ("a file", "under a file")}
+
+
+class TestPathInputs:
+    """A path that is missing, or of the wrong kind, fails with one csiloc line and no traceback."""
+
+    @staticmethod
+    def workspace(tmp_path):
+        """Valid arguments of every command, over a 60 x 16 x 16 dataset and a linear checkpoint."""
+        data, raw, cfg, ckpt = gen_small(tmp_path), tmp_path / "raw", tmp_path / "cfg.json", tmp_path / "m.ckpt"
+        export_npy(raw, load_canonical(data))
+        cfg.write_text("{}")
+        save_checkpoint(ckpt, build_model("linear", {}, (2, 16, 16)), norm_scale=1.0)
+        (tmp_path / "a_file").write_text("x")
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / "out"
+        return {
+            "gen": {"--out": out, "--samples": 5, "--subcarriers": 16},
+            "import": {"--csi": raw / "csi.npy", "--snr": raw / "snr.npy", "--pos": raw / "pos.npy",
+                       "--out": out},
+            "split": {"--data": data, "--kind": "random", "--out": out},
+            "train": {"--train": data, "--model": "linear", "--config": cfg, "--out": out},
+            "eval": {"--checkpoint": ckpt, "--eval": data, "--out": out},
+            "count-weights": {"--model": "linear", "--config": cfg},
+        }
+
+    @pytest.mark.parametrize("command", sorted(PATH_OPTIONS))
+    def test_valid_paths_succeed(self, tmp_path, command):
+        args = self.workspace(tmp_path)[command]
+        assert run(command, *[v for item in args.items() for v in item]) == 0
+
+    @pytest.mark.parametrize("command, option, case", [
+        (command, option, case) for command, options in PATH_OPTIONS.items()
+        for option, role in options.items() for case in BAD_PATHS[role]])
+    def test_bad_path_fails_with_one_line(self, tmp_path, capsys, command, option, case):
+        args = self.workspace(tmp_path)[command]
+        capsys.readouterr()
+        bad = {"missing": tmp_path / "missing", "a directory": tmp_path / "a_dir",
+               "a file": tmp_path / "a_file", "under a file": tmp_path / "a_file" / "x"}[case]
+        args[option] = bad
+        assert run(command, *[v for item in args.items() for v in item]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(bad) in lines[0]
+
+
+def read_config(name):
+    return json.loads((CONFIGS / name).read_text())
+
+
+class TestConfigFiles:
+    """The shipped config files state the defaults the code holds, so neither drifts alone."""
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_ARCH))
+    def test_architecture_file_is_the_default(self, kind):
+        assert read_config(f"{kind}.json") == asdict(DEFAULT_ARCH[kind])
+
+    def test_train_default_is_train_config(self):
+        expected = asdict(TrainConfig())
+        del expected["seed"]   # seeded by --seed or train_seed, not by the shipped file
+        assert read_config("train_default.json") == expected
+
+    def test_desk_architecture_is_the_benchmarks(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert desk_arch() == workloads.DESK_ARCH

@@ -19,7 +19,7 @@ from csiloc.data import (Dataset, NormStats, SynthConfig, apply_normalizer, expo
                          write_canonical)
 from csiloc.evaluation import evaluate
 from csiloc.layers import Flatten
-from csiloc.models import build_model, resolve_arch
+from csiloc.models import build_model
 from csiloc.train import TrainConfig, train
 
 
@@ -104,7 +104,7 @@ def test_train_float32_equals_float64_copy(tmp_path, kind, arch):
     norm = fit_normalizer(loaded)
     runs = []
     for data in (loaded, as_float64(loaded)):
-        net = build_model(kind, resolve_arch(kind, arch), (2, 16, 32))
+        net = build_model(kind, arch, (2, 16, 32))
         net, history = train(net, data, cfg, norm)
         runs.append(([bits(v) for v in net.snapshot()],
                      [(r.epoch, r.train_mde, r.monitor_mde, r.lr) for r in history.records]))
@@ -166,7 +166,7 @@ def test_evaluate_memory(tmp_path, monkeypatch, threads, bound):
     ds = generate_synthetic(SynthConfig(num_samples=1200, num_subcarriers=64, seed=8))
     write_canonical(tmp_path / "c", ds)
     loaded = load_canonical(tmp_path / "c")
-    net = build_model("linear", resolve_arch("linear", {}), (2, 16, 64))
+    net = build_model("linear", {}, (2, 16, 64))
     norm = fit_normalizer(loaded)
     monkeypatch.setenv("CSILOC_THREADS", str(threads))
     tracemalloc.start()

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +15,10 @@ from csiloc.data import Dataset, NormStats, SynthConfig, fit_normalizer, generat
 from csiloc.errors import CsilocError
 from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, predict, rmse
 from csiloc.layers import ResidualUnit
-from csiloc.models import ArchConfig, build_model, build_tiny, count_weights, resolve_arch, save_checkpoint
+from csiloc.models import build_model, build_tiny, count_weights, save_checkpoint
 
-from conftest import CountingPool
+from conftest import CountingPool, desk_arch
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -271,10 +269,7 @@ def _arrays_held(layer):
 
 
 def desk_cnn4r():
-    flat = json.loads((CONFIGS / "desk64_cnn4.json").read_text())
-    arch_fields = {f.name for f in fields(ArchConfig)}
-    return build_model("cnn4r", resolve_arch("cnn4r", {k: v for k, v in flat.items() if k in arch_fields}),
-                       (2, 16, 64))
+    return build_model("cnn4r", desk_arch(), (2, 16, 64))
 
 
 class TestThreadBudget:

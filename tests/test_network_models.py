@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from csiloc import models
 from csiloc.errors import CheckpointError, ShapeError
-from csiloc.layers import AvgPool1xP, Conv1xK, Dense, ReLU, ResidualUnit
+from csiloc.layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit
 from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_model, build_tiny, count_weights,
-                           load_checkpoint, resolve_arch, save_checkpoint, weights_millions)
+                           load_checkpoint, save_checkpoint, weights_millions)
 from csiloc.network import Network, gradient_check
+
+from conftest import desk_arch
 
 
 def closed_form_cnn4(f0, growth=1.5, k=7, head=1000, h=16, w=924, s=3, c_in=2):
@@ -148,7 +150,7 @@ class TestBuilders:
     def test_partial_arch_lies_over_the_kinds_defaults(self, kind):
         partial = {"kernel": 3, "stride": 2, "head_units": 8, "residual_units_per_block": 1}
         a = build_model(kind, partial, (2, 4, 128))
-        b = build_model(kind, resolve_arch(kind, partial), (2, 4, 128))
+        b = build_model(kind, models._merged_arch(kind, partial), (2, 4, 128))
         assert [l.describe() for l in a.layers] == [l.describe() for l in b.layers]
         assert a.arch == b.arch and a.arch["base_filters"] == DEFAULT_ARCH[kind].base_filters
 
@@ -162,6 +164,41 @@ def test_no_import_inside_a_function():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_import_is_used():
+    """Each name a src/csiloc module imports is used in that module. models imports
+    count_weights only to re-export it beside build_model, for the package and evaluation."""
+    re_exports = {("models.py", "count_weights")}
+    unused = []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   for name in [alias.asname or alias.name.split(".")[0]]
+                   if name not in used and (path.name, name) not in re_exports]
+    assert unused == []
+
+
+class TestResidualUnitShape:
+    """A residual unit's shape is its two same-padded convs' shape."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 5])
+    def test_wrong_channel_count_raises(self, channels):
+        with pytest.raises(ShapeError):
+            ResidualUnit(4, 3).out_shape((channels, 2, 9))
+        with pytest.raises(ShapeError):
+            Network([ResidualUnit(4, 3), Flatten(), Dense(4 * 2 * 9, 3)], (channels, 2, 9))
+        Network([ResidualUnit(4, 3), Flatten(), Dense(4 * 2 * 9, 3)], (4, 2, 9))
+
+    @pytest.mark.parametrize("kernel", range(1, 9))
+    def test_same_padding_keeps_shape(self, kernel):
+        unit = ResidualUnit(2, kernel)
+        for width in [w for w in (1, kernel - 1, kernel, 2 * kernel + 1, 64) if w > 0]:
+            assert unit.out_shape((2, 3, width)) == (2, 3, width)
 
 
 class TestWeightCounts:
@@ -202,7 +239,7 @@ class TestWeightCounts:
                       "residual_units_per_block": 0, "head_units": 5}]
         else:
             archs = [{}] + ([{"hidden": [7, 3]}] if kind == "fcnn" else [])
-        cases += [(resolve_arch(kind, arch), shape) for arch in archs
+        cases += [(arch, shape) for arch in archs
                   for shape in [(2, 16, 64), (2, 4, 60), (3, 5, 200)]]
         built = 0
         for arch, shape in cases:
@@ -352,15 +389,14 @@ CHECKPOINT_SHA256 = {
     ("shipped", "cnn4s"): "5fa2bc3cff8e9e5cd29209544866ca39a22ca9c496464363d6fbc256855e925e",
 }
 
-# configs/desk64_cnn4.json's architecture at the desk width
-DESK_ARCH = {"base_filters": 8, "kernel": 5, "stride": 2, "head_units": 256, "seed": 3}
+DESK_ARCH = desk_arch()
 
 
 def _pinned_net(which, kind):
     if which == "tiny":
         return build_tiny(kind)[0]
     if which == "desk":
-        return build_model(kind, resolve_arch(kind, DESK_ARCH), (2, 16, 64))
+        return build_model(kind, DESK_ARCH, (2, 16, 64))
     return build_model(kind, None)
 
 
@@ -483,7 +519,7 @@ class TestCheckpoint:
 def test_builders_reject_sizes_below_their_least(kind, arch):
     """A negative unit count used to build a residual model with no units at all."""
     with pytest.raises(ValueError, match=">="):
-        build_model(kind, resolve_arch(kind, arch), (2, 4, 60))
+        build_model(kind, arch, (2, 4, 60))
 
 
 def _edited_checkpoint(tmp_path, net, edit):
@@ -529,7 +565,7 @@ class TestCheckpointBounds:
     def test_negative_head_cannot_cancel_huge_convs(self, tmp_path):
         """The count is affine in head_units; a negative one cancels all but a remainder
         of the conv weights, and the header declares just that remainder."""
-        arch, shape = {**resolve_arch("cnn4r", {}), "base_filters": 10 ** 4, "kernel": 3, "stride": 2}, (2, 1, 31)
+        arch, shape = {**models._merged_arch("cnn4r", {}), "base_filters": 10 ** 4, "kernel": 3, "stride": 2}, (2, 1, 31)
         one, two = (models._weights_to_build("cnn4r", {**arch, "head_units": h}, shape) for h in (1, 2))
         per_head, rest = two - one, 2 * one - two
         declared = rest % per_head
