@@ -15,15 +15,17 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig, fit_normalizer,
-                   generate_synthetic, import_npy, load_canonical, make_output_dir, split,
-                   write_canonical)
+from .data import (CANONICAL_FILES, SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig,
+                   fit_normalizer, generate_synthetic, import_npy, load_canonical, make_output_dir,
+                   split, write_canonical)
 from .errors import CsilocError
 from .models import (DEFAULT_ARCH, DEFAULT_INPUT_SHAPE, MODEL_KINDS, ArchConfig, _weights_to_build,
                      build_model, build_tiny, load_checkpoint, save_checkpoint, weights_millions)
 from . import network
 from .train import TrainConfig, train
-from .evaluation import evaluate, emit_reports
+from .evaluation import REPORT_FILES, evaluate, emit_reports
+
+MANIFEST = "manifest.json"
 
 
 def _positive_int(text):
@@ -59,8 +61,15 @@ def _write_manifest(directory, command, params, started):
         "started_utc": started,
         "ended_utc": _utc_now(),
     }
-    (Path(directory) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (Path(directory) / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _check_output_names(directory, names):
+    """Fail before any work when a file the command writes in directory is a directory."""
+    for name in (*names, MANIFEST):
+        path = Path(directory) / name
+        if path.is_dir():
+            raise CsilocError(f"cannot write {path}: it is a directory")
 
 
 def _load_config_file(path):
@@ -111,6 +120,7 @@ def cmd_gen(args):
     cfg = SynthConfig(num_samples=args.samples, num_subcarriers=args.subcarriers,
                       num_reflectors=args.reflectors, seed=args.seed,
                       snr_db_range=(args.snr_low, args.snr_high))
+    _check_output_names(args.out, CANONICAL_FILES)
     ds = generate_synthetic(cfg)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "gen", {**asdict(cfg), "out": str(args.out)}, started)
@@ -120,6 +130,7 @@ def cmd_gen(args):
 
 def cmd_import(args):
     started = _utc_now()
+    _check_output_names(args.out, CANONICAL_FILES)
     ds = import_npy(args.csi, args.snr, args.pos)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "import", {"csi": str(args.csi), "snr": str(args.snr),
@@ -130,10 +141,11 @@ def cmd_import(args):
 
 def cmd_split(args):
     started = _utc_now()
+    out = Path(args.out)
+    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_FILES])
     ds = load_canonical(args.data)
     strat = SplitStrategy(args.kind, args.fraction, args.seed)
     train_ds, eval_ds = split(ds, strat)
-    out = Path(args.out)
     write_canonical(out / "train", train_ds)
     write_canonical(out / "eval", eval_ds)
     _write_manifest(out, "split", {"data": str(args.data), "kind": args.kind,
@@ -146,6 +158,8 @@ def cmd_split(args):
 
 def cmd_train(args):
     started = _utc_now()
+    # save_checkpoint writes model.ckpt.tmp first, then renames it
+    _check_output_names(args.out, ("model.ckpt", "model.ckpt.tmp", "history.csv"))
     ds = load_canonical(args.train)
     arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
     if args.seed is not None:
@@ -178,6 +192,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     started = _utc_now()
+    _check_output_names(args.out, REPORT_FILES)
     net, norm_scale, _meta = load_checkpoint(args.checkpoint)
     if norm_scale is None:
         raise CsilocError(f"{args.checkpoint} carries no normalizer scale; cannot evaluate")

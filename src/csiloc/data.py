@@ -37,6 +37,9 @@ SYNTH_Y_RANGE = (-1.0, 1.0)
 SYNTH_Z_RANGE = (0.8, 1.2)
 SYNTH_REFLECTOR_GAIN_RANGE = (0.2, 0.8)
 
+# values a Dataset checks for finiteness at once (rounded to whole samples)
+_FINITE_CHUNK = 1 << 16
+
 
 @dataclass
 class Dataset:
@@ -62,7 +65,9 @@ class Dataset:
         if self.pos.shape != (n, 3):
             raise DataFormatError(f"pos shape {self.pos.shape} inconsistent with {n} samples")
         for name, arr in (("csi", self.csi), ("snr", self.snr), ("pos", self.pos)):
-            if not np.isfinite(arr).all():
+            # whole samples at a time: the bool temporary stays small whatever n is
+            step = max(1, _FINITE_CHUNK // arr[0].size)
+            if not all(np.isfinite(arr[lo:lo + step]).all() for lo in range(0, n, step)):
                 raise DataFormatError(f"non-finite values in {name}")
 
     def __len__(self):
@@ -99,8 +104,12 @@ def make_output_dir(directory):
     return directory
 
 
+CANONICAL_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
+
+
 def write_canonical(directory, ds: Dataset):
     directory = make_output_dir(directory)
+    meta_path, *blob_paths = (directory / name for name in CANONICAL_FILES)
     meta = {
         "format_version": 1,
         "n": len(ds),
@@ -110,10 +119,10 @@ def write_canonical(directory, ds: Dataset):
         "bandwidth_hz": ds.bandwidth_hz,
         "frame": ds.frame,
     }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     # a loaded or imported float32 CSI transposes back to its own contiguous bytes: no copy
-    for name, arr in (("csi.f32", ds.csi.transpose(0, 2, 3, 1)), ("snr.f32", ds.snr), ("pos.f32", ds.pos)):
-        np.ascontiguousarray(arr, dtype="<f4").tofile(directory / name)
+    for path, arr in zip(blob_paths, (ds.csi.transpose(0, 2, 3, 1), ds.snr, ds.pos)):
+        np.ascontiguousarray(arr, dtype="<f4").tofile(path)
 
 
 _META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": (int, float),

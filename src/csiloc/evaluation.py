@@ -132,7 +132,9 @@ def write_csv(path, header, rows):
         for row in [header, *rows]:
             f.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
                              for v in row) + "\n")
-    return path
+
+
+REPORT_FILES = ("cdf.csv", "err_hist.csv", "quiver.csv", "summary.json")
 
 
 def emit_reports(report: EvalReport, out_dir):
@@ -140,21 +142,21 @@ def emit_reports(report: EvalReport, out_dir):
     if report.n_samples == 0:
         raise ValueError("cannot emit reports for an empty evaluation")
     out = make_output_dir(out_dir)
+    cdf_path, hist_path, quiver_path, summary_path = (out / name for name in REPORT_FILES)
     n = report.n_samples
 
     errors = np.sort(report.distance_error, kind="stable")
-    cdf_path = write_csv(out / "cdf.csv", ["distance_error_m", "probability"],
-                         zip(errors.tolist(), (np.arange(1, n + 1) / n).tolist()))
+    write_csv(cdf_path, ["distance_error_m", "probability"],
+              zip(errors.tolist(), (np.arange(1, n + 1) / n).tolist()))
     hist = []
     for axis, name in ((0, "x"), (1, "y")):
         counts, edges = np.histogram(report.estimate[:, axis] - report.truth[:, axis], bins=50)
         hist += [(name, edges[b], edges[b + 1], counts[b]) for b in range(50)]
-    hist_path = write_csv(out / "err_hist.csv", ["axis", "bin_low_m", "bin_high_m", "count"], hist)
+    write_csv(hist_path, ["axis", "bin_low_m", "bin_high_m", "count"], hist)
     delta = report.estimate - report.truth
-    quiver_path = write_csv(out / "quiver.csv", ["truth_x_m", "truth_y_m", "dx_m", "dy_m"],
-                            np.hstack([report.truth[:, :2], delta[:, :2]]).tolist())
+    write_csv(quiver_path, ["truth_x_m", "truth_y_m", "dx_m", "dy_m"],
+              np.hstack([report.truth[:, :2], delta[:, :2]]).tolist())
 
-    summary_path = out / "summary.json"
     summary = {
         "mde_m": report.mde_m,
         "rmse_m": report.rmse_m,

@@ -14,19 +14,27 @@ multiplies it by the tap's filter column and adds the product, so every ufunc
 sweeps long contiguous runs. Up to CSILOC_THREADS threads run that sequence
 at once, each over its own batch slice of the accumulator's columns (slices
 of at least _SPLIT_FLOOR output elements), so the output bits do not depend on
-the thread count. The conv backward is one BLAS product per kernel tap: equal
-to the loop only to rounding.
+the thread count. The conv backward is two BLAS products per kernel tap, one
+for the weight gradient and one for the input gradient: equal to the loop only
+to rounding. On two threads the caller runs every tap's weight product while a
+pool thread runs every tap's input product, in tap order, so each gradient
+gets the serial bits. The dense backward runs its two products the same way.
+All fan-out goes through _fan_out, and a pool task writes only into buffers
+its caller allocated.
 
 Layers keep no per-call state. `forward(x, tape)` pushes what its backward
 needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
-a network's backward pops in the reverse order of its forward. Without a
-tape (inference) nothing is kept: each activation is freed once the next
-layer is done with it, and concurrent forwards share nothing mutable.
+a network's backward pops in the reverse order of its forward. A layer with
+parameters takes `input_grad=False` to accumulate their gradients only: no
+one reads the gradient for a network's input. Without a tape (inference)
+nothing is kept: each activation is freed once the next layer is done with
+it, and concurrent forwards share nothing mutable.
 """
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -34,13 +42,13 @@ from .errors import CsilocError, ShapeError
 
 DTYPE = np.float64
 
-# a conv forward splits its batch only while each slice holds this many output
-# elements; below it, handing a slice to another thread costs more than it saves
+# work is split only while each part holds this many output elements; below
+# it, handing a part to another thread costs more than it saves
 _SPLIT_FLOOR = 1 << 15
-# the threads that sweep a conv forward's slices beyond the caller's own; it
-# starts each thread at a submit that finds none idle, and its tasks never
-# wait on it, so a conv forward cannot deadlock on a busy pool
-_POOL = ThreadPoolExecutor(thread_name_prefix="csiloc-conv")
+# the threads that run _fan_out's tasks beyond the caller's own; it starts each
+# thread at a submit that finds none idle, and its tasks never wait on it, so a
+# fan-out cannot deadlock on a busy pool
+_POOL = ThreadPoolExecutor(thread_name_prefix="csiloc-pool")
 _SHARE = threading.local()
 
 
@@ -59,6 +67,37 @@ def _threads():
 def share_threads(threads):
     """Cap _threads() at threads on the calling thread (a worker's part of a budget)."""
     _SHARE.threads = threads
+
+
+def _parts(n, unit=1):
+    """Split range(n) into (lo, hi) parts, one per thread, each of at least
+    _SPLIT_FLOOR elements at unit elements per index; one part if none fits."""
+    least = -(-_SPLIT_FLOOR // max(unit, 1))   # indices per part
+    k = max(1, min(_threads(), n // least))
+    bounds = [n * i // k for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fan_out(tasks, split=True):
+    """Run the callables in tasks; unless split, all in order on the caller.
+
+    Split, the caller runs the first while _POOL runs the rest. A task that no
+    pool thread has started when the caller is done is cancelled and run by the
+    caller, so a busy core costs no wait. A task writes only into buffers the
+    caller allocated: a large allocation on a pool thread grows that thread's
+    own malloc arena.
+    """
+    if not split:
+        for task in tasks:
+            task()
+        return
+    futures = [_POOL.submit(task) for task in tasks[1:]]
+    tasks[0]()
+    for future, task in zip(futures, tasks[1:]):
+        if future.cancel():   # no pool thread has started it (its core is busy)
+            task()
+        else:
+            future.result()
 
 
 def conv_out_width(width, kernel, stride):
@@ -85,7 +124,7 @@ class Param:
     __slots__ = ("value", "grad", "vel")
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=DTYPE)
+        self.value = np.asarray(value, dtype=DTYPE, order="C")   # the optimizer updates it flat
         self.grad = np.zeros_like(self.value)
         self.vel = np.zeros_like(self.value)
 
@@ -118,8 +157,9 @@ class Layer:
         """Output for x; with a tape, the backward context is pushed onto it."""
         raise NotImplementedError
 
-    def backward(self, grad_out, tape):
-        """Input gradient, with parameter gradients accumulated; pops the tape."""
+    def backward(self, grad_out, tape, input_grad=True):
+        """Input gradient, with parameter gradients accumulated; pops the tape.
+        With input_grad False (layers with parameters only) it returns None."""
         raise NotImplementedError
 
     def _push(self, tape, ctx):
@@ -211,38 +251,45 @@ class Conv1xK(Layer):
                     part += scratch
             part += bias
 
-        # batch slices of at least _SPLIT_FLOOR output elements, one per thread;
-        # the caller sweeps the first while the pool sweeps the rest
-        least = -(-_SPLIT_FLOOR // (f * hw))   # samples per slice
-        n = max(1, min(_threads(), batch // least))
-        bounds = [batch * i // n for i in range(n + 1)]
-        slices = list(zip(bounds, bounds[1:]))
-        futures = [_POOL.submit(sweep, lo, hi) for lo, hi in slices[1:]]
-        sweep(*slices[0])
-        for future, (lo, hi) in zip(futures, slices[1:]):
-            if future.cancel():   # no pool thread has started it (its core is busy)
-                sweep(lo, hi)
-            else:
-                future.result()
+        _fan_out([partial(sweep, lo, hi) for lo, hi in _parts(batch, f * hw)])
         del tmp  # before the output copy, so at most two output-sized arrays are live
         out = np.ascontiguousarray(acc.reshape(f, batch, height, w_out).transpose(1, 0, 2, 3))
         self._push(tape, (xp, x.shape[3], left, w_out))
         return out
 
-    def backward(self, grad_out, tape):
+    def backward(self, grad_out, tape, input_grad=True):
         xp, in_width, left, w_out = self._pop(tape)
         expect = (xp.shape[0], self.filters, xp.shape[2], w_out)
         if grad_out.shape != expect:
             raise ShapeError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
-        # one GEMM per tap over all channels and filters, on (C, B, H, W) views of xp's memory
+        # two GEMMs per tap over all channels and filters, on (C, B, H, W) views of xp's memory
+        c, wv = self.in_channels, self.w.value
         g = grad_out.transpose(1, 0, 2, 3).reshape(self.filters, -1)
         xt = xp.transpose(1, 0, 2, 3)
+        taps = [slice(t, t + self.stride * w_out, self.stride) for t in range(self.kernel)]
+        win = np.empty(xt[..., taps[0]].shape, dtype=DTYPE)   # one tap's (C, B, H, W_out) window
+
+        def weight_taps():
+            for t, cols in enumerate(taps):
+                win[...] = xt[..., cols]
+                self.w.grad[:, :, 0, t] += g @ win.reshape(c, -1).T
+
+        if not input_grad:
+            weight_taps()
+            return None
         gxt = np.zeros_like(xt)
-        for t in range(self.kernel):
-            cols = slice(t, t + self.stride * w_out, self.stride)
-            self.w.grad[:, :, 0, t] += g @ xt[..., cols].reshape(self.in_channels, -1).T
-            gxt[..., cols] += (self.w.value[:, :, 0, t].T @ g).reshape(xt[..., cols].shape)
+        # the input products add into overlapping columns of gxt, so they run in
+        # tap order as one task; run serially, they reuse the window buffer
+        split = len(_parts(2, grad_out.size)) > 1   # two tasks as big as the output
+        prod = np.empty_like(win) if split else win
+
+        def input_taps():
+            for t, cols in enumerate(taps):
+                np.matmul(wv[:, :, 0, t].T, g, out=prod.reshape(c, -1))
+                gxt[..., cols] += prod
+
+        _fan_out([weight_taps, input_taps], split)
         return gxt.transpose(1, 0, 2, 3)[:, :, :, left:left + in_width]
 
     def out_shape(self, in_shape):
@@ -358,13 +405,22 @@ class Dense(Layer):
         self._push(tape, x)
         return x @ self.w.value.T + self.b.value[None, :]
 
-    def backward(self, grad_out, tape):
+    def backward(self, grad_out, tape, input_grad=True):
         x = self._pop(tape)
         if grad_out.shape != (x.shape[0], self.units):
             raise ShapeError("dense grad_out shape does not match forward")
-        self.w.grad += grad_out.T @ x
         self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.w.value
+
+        def weight_grad():
+            self.w.grad += grad_out.T @ x
+
+        if not input_grad:
+            weight_grad()
+            return None
+        gx = np.empty(x.shape, dtype=DTYPE)
+        _fan_out([weight_grad, partial(np.matmul, grad_out, self.w.value, out=gx)],
+                 len(_parts(2, x.size)) > 1)
+        return gx
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1 or in_shape[0] != self.in_features:
@@ -402,10 +458,11 @@ class ResidualUnit(Layer):
         h = self.conv_b.forward(self.relu_mid.forward(self.conv_a.forward(x, tape), tape), tape)
         return self.relu_out.forward(h + x, tape)
 
-    def backward(self, grad_out, tape):
+    def backward(self, grad_out, tape, input_grad=True):
         g = self.relu_out.backward(grad_out, tape)
-        g_main = self.conv_a.backward(self.relu_mid.backward(self.conv_b.backward(g, tape), tape), tape)
-        return g_main + g
+        g_mid = self.relu_mid.backward(self.conv_b.backward(g, tape), tape)
+        g_main = self.conv_a.backward(g_mid, tape, input_grad)
+        return g_main + g if input_grad else None
 
     def out_shape(self, in_shape):
         return self.conv_b.out_shape(self.conv_a.out_shape(in_shape))

@@ -38,10 +38,14 @@ class Network:
         return x
 
     def backward(self, grad_out, tape):
-        g = grad_out
-        for layer in reversed(self.layers):
-            g = layer.backward(g, tape)
-        return g
+        """Accumulate every parameter's gradient for the loss gradient grad_out. No one
+        reads the gradient for the input batch, so the first layer with parameters
+        computes only theirs, and the parameterless layers before it none."""
+        first = next(i for i, layer in enumerate(self.layers) if layer.params())
+        for layer in reversed(self.layers[first + 1:]):
+            grad_out = layer.backward(grad_out, tape)
+        self.layers[first].backward(grad_out, tape, input_grad=False)
+        tape.clear()   # the contexts of the layers before it
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]

@@ -9,6 +9,7 @@ quantity that is not.
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -16,20 +17,35 @@ from . import models
 from .data import NormStats, apply_normalizer, round_half_up
 from .errors import TrainingDivergedError
 from .evaluation import mde, predict, write_csv
-from .layers import _threads
+from .layers import _fan_out, _parts, _threads
 from .network import mde_loss
 
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience
+# elements per optimizer block: its three sweeps find the block in cache
+_SGD_BLOCK = 1 << 15
 
 
 def sgd_momentum_step(params, lr, momentum):
-    """Classical momentum update: v <- momentum*v - lr*g; w <- w + v."""
+    """Classical momentum update: v <- momentum*v - lr*g; w <- w + v.
+
+    A parameter's gradient is checked whole before any of it is updated. It is
+    updated in parts, one per thread (layers._parts), block by block; every
+    element gets the same operations whatever the split."""
     for p in params:
         if not np.isfinite(p.grad).all():
             raise TrainingDivergedError("non-finite gradient in optimizer step")
-        p.vel *= momentum
-        p.vel -= lr * p.grad
-        p.value += p.vel
+        v, w, g = p.vel.reshape(-1), p.value.reshape(-1), p.grad.reshape(-1)
+        parts = _parts(g.size)
+        steps = np.empty((len(parts), min(g.size, _SGD_BLOCK)))   # a block of lr * g per part
+
+        def update(lo, hi, step):
+            for a in range(lo, hi, _SGD_BLOCK):
+                b = min(a + _SGD_BLOCK, hi)
+                v[a:b] *= momentum
+                v[a:b] -= np.multiply(lr, g[a:b], out=step[:b - a])
+                w[a:b] += v[a:b]
+
+        _fan_out([partial(update, lo, hi, step) for (lo, hi), step in zip(parts, steps)])
 
 
 class PlateauSchedule:

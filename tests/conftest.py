@@ -8,6 +8,7 @@ products match it to rounding, and its bias gradient bit for bit.
 """
 
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 class CountingPool:
-    """Stands in for the conv pool and counts the batch slices handed to it."""
+    """Stands in for layers._POOL and counts the tasks handed to it."""
 
     def __init__(self, pool):
         self.pool = pool
@@ -142,3 +143,17 @@ class CountingPool:
     def submit(self, *args):
         self.submits += 1
         return self.pool.submit(*args)
+
+
+class Unstarted(Future):
+    """A task that no pool thread ever starts: waiting on it fails the test."""
+
+    def result(self, timeout=None):
+        raise AssertionError("waited on a task that no thread has started")
+
+
+class StalledPool:
+    """Stands in for layers._POOL with every core busy: it starts nothing."""
+
+    def submit(self, *args):
+        return Unstarted()

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from csiloc import layers
+from csiloc import cli, layers
 from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, load_canonical, SynthConfig
 from csiloc.models import DEFAULT_ARCH, build_model, count_weights, load_checkpoint, save_checkpoint
@@ -416,6 +416,29 @@ class TestPathInputs:
         assert run(command, *[v for item in args.items() for v in item]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(bad) in lines[0]
+
+
+    # a name each command writes inside its --out, made a directory beforehand
+    @pytest.mark.parametrize("command, name", [
+        ("gen", "meta.json"), ("gen", "manifest.json"), ("gen", "csi.f32"), ("import", "pos.f32"),
+        ("import", "manifest.json"), ("split", "train/meta.json"), ("split", "eval/snr.f32"),
+        ("split", "manifest.json"), ("train", "model.ckpt"), ("train", "model.ckpt.tmp"),
+        ("train", "history.csv"), ("train", "manifest.json"), ("eval", "cdf.csv"),
+        ("eval", "summary.json"), ("eval", "manifest.json")])
+    def test_output_name_a_directory_fails_before_work(self, tmp_path, capsys, monkeypatch, command, name):
+        args = self.workspace(tmp_path)[command]
+        capsys.readouterr()
+        blocked = args["--out"] / name
+        blocked.mkdir(parents=True)
+
+        def no_work(*a, **k):
+            raise AssertionError("work started before the output names were checked")
+        for work in ("generate_synthetic", "import_npy", "load_canonical", "load_checkpoint"):
+            monkeypatch.setattr(cli, work, no_work)
+        assert run(command, *[v for item in args.items() for v in item]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(blocked) in lines[0]
+        assert [p for p in args["--out"].rglob("*") if p.is_file()] == []
 
 
 def read_config(name):

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csiloc import data
 from csiloc.cli import main
 from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, antenna_positions,
                          apply_normalizer, channel_response, fit_normalizer,
@@ -33,6 +35,33 @@ class TestDataset:
         csi[0, 0, 0, 0] = np.nan
         with pytest.raises(DataFormatError, match="non-finite"):
             Dataset(csi, np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("csi_shape", [(10, 2, 2, 8), (3, 2, 16, 64)])   # 2 samples a chunk, or 1
+    @pytest.mark.parametrize("field", ["csi", "snr", "pos"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_any_chunk(self, monkeypatch, csi_shape, field, value):
+        monkeypatch.setattr(data, "_FINITE_CHUNK", 64)
+        n, _, a, _ = csi_shape
+        arrays = {"csi": np.zeros(csi_shape, np.float32), "snr": np.zeros((n, a)), "pos": np.zeros((n, 3))}
+        Dataset(**arrays)
+        size = arrays[field].size
+        for at in sorted({0, 63, 64, size // 2, size - 1} & set(range(size))):
+            bad = {**arrays, field: arrays[field].copy()}
+            bad[field].flat[at] = value
+            with pytest.raises(DataFormatError, match=f"^non-finite values in {field}$"):
+                Dataset(**bad)
+
+    def test_finiteness_check_memory(self):
+        """The check holds one chunk's bools at a time, not one per CSI value."""
+        csi = np.ones((400, 2, 16, 128), np.float32)
+        snr, pos = np.zeros((400, 16)), np.zeros((400, 3))
+        tracemalloc.start()
+        try:
+            Dataset(csi, snr, pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < csi.size / 8, peak
 
     def test_rejects_inconsistent(self):
         with pytest.raises(DataFormatError):

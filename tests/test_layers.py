@@ -1,7 +1,6 @@
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +12,8 @@ from csiloc.errors import CsilocError, ShapeError
 from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit,
                            conv_out_width, same_padding)
 
-from conftest import CountingPool, fd_layer_check, naive_avgpool1xp, naive_conv1xk, naive_conv1xk_backward
+from conftest import (CountingPool, StalledPool, fd_layer_check, naive_avgpool1xp, naive_conv1xk,
+                      naive_conv1xk_backward)
 
 
 def make_conv(c_in, f, k, s, padding="valid", seed=0):
@@ -173,19 +173,49 @@ class TestConvForward:
             conv_out_width(2, 7, 3)
 
 
+# (batch, channels, filters, height, width, kernel, stride, padding), and the
+# forward's slice count for 1, 2 and 3 threads; floor is the output elements per slice
+SPLIT_CASES = {
+    "batch1": ((1, 1, 8, 4, 1026, 3, 1, "valid"), (1, 1, 1)),       # batch 1: 32768 per sample
+    "batch7": ((7, 1, 4, 4, 1026, 3, 1, "valid"), (1, 2, 3)),       # 16384 per sample: slices of 2+ samples
+    "under_floor": ((2, 1, 7, 31, 152, 2, 1, "valid"), (1, 1, 1)),  # 32767 per sample: just under the floor
+    "on_floor": ((2, 1, 8, 32, 129, 2, 1, "valid"), (1, 2, 2)),     # 32768 per sample: on the floor
+    "same": ((3, 1, 4, 8, 1024, 3, 1, "same"), (1, 2, 3)),
+    "stride_gt_kernel": ((3, 1, 4, 8, 5117, 2, 5, "valid"), (1, 2, 3)),  # stride > kernel
+}
+# a backward splits when its output holds the floor; this one holds 32767
+BACKWARD_SHAPES = {**{name: shape for name, (shape, _) in SPLIT_CASES.items()},
+                   "output_under_floor": (1, 1, 7, 31, 152, 2, 1, "valid")}
+
+
+def race(callers, call, rounds=5):
+    """Run call(i) rounds times on each of callers threads at once, switching threads
+    every microsecond; returns how many of each caller's calls returned True."""
+    start = threading.Barrier(callers)
+    matches = [0] * callers
+
+    def run(i):
+        start.wait()
+        for _ in range(rounds):
+            matches[i] += bool(call(i))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return matches
+
+
 class TestConvSplit:
     """The batch slices of a conv forward keep every output's naive IEEE sequence."""
 
-    # (batch, channels, filters, height, width, kernel, stride, padding), and the
-    # slice count for 1, 2 and 3 threads; floor is the output elements per slice
-    @pytest.mark.parametrize("shape,slices", [
-        ((1, 1, 8, 4, 1026, 3, 1, "valid"), (1, 1, 1)),       # batch 1: 32768 per sample
-        ((7, 1, 4, 4, 1026, 3, 1, "valid"), (1, 2, 3)),       # 16384 per sample: slices of 2+ samples
-        ((2, 1, 7, 31, 152, 2, 1, "valid"), (1, 1, 1)),       # 32767 per sample: just under the floor
-        ((2, 1, 8, 32, 129, 2, 1, "valid"), (1, 2, 2)),       # 32768 per sample: on the floor
-        ((3, 1, 4, 8, 1024, 3, 1, "same"), (1, 2, 3)),
-        ((3, 1, 4, 8, 5117, 2, 5, "valid"), (1, 2, 3)),       # stride > kernel
-    ], ids=["batch1", "batch7", "under_floor", "on_floor", "same", "stride_gt_kernel"])
+    @pytest.mark.parametrize("shape,slices", list(SPLIT_CASES.values()), ids=list(SPLIT_CASES))
     def test_bitwise_for_each_thread_count(self, monkeypatch, shape, slices):
         b, c, f, h, w, k, s, padding = shape
         conv = make_conv(c, f, k, s, padding, seed=47)
@@ -201,14 +231,6 @@ class TestConvSplit:
             assert out.flags.c_contiguous
 
     def test_caller_sweeps_slices_no_thread_started(self, monkeypatch):
-        class Unstarted(Future):
-            def result(self, timeout=None):
-                raise AssertionError("waited on a slice that no thread has started")
-
-        class StalledPool:
-            def submit(self, *args):
-                return Unstarted()
-
         monkeypatch.setattr(layers, "_POOL", StalledPool())
         monkeypatch.setenv("CSILOC_THREADS", "3")
         conv = make_conv(1, 4, 3, 1, "same", seed=51)
@@ -223,25 +245,7 @@ class TestConvSplit:
         monkeypatch.setenv("CSILOC_THREADS", "1")
         serial = [conv.forward(x).tobytes() for x in xs]
         monkeypatch.setenv("CSILOC_THREADS", "3")
-        start = threading.Barrier(len(xs))
-        matches = [0] * len(xs)
-
-        def run(i):
-            start.wait()
-            for _ in range(5):
-                matches[i] += conv.forward(xs[i]).tobytes() == serial[i]
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert matches == [5] * len(xs)
+        assert race(len(xs), lambda i: conv.forward(xs[i]).tobytes() == serial[i]) == [5] * len(xs)
 
     def test_split_allocates_nothing_more(self, monkeypatch):
         conv = make_conv(4, 8, 5, 1, "same", seed=49)
@@ -266,6 +270,123 @@ class TestConvSplit:
             monkeypatch.setenv("CSILOC_THREADS", cap)
             with pytest.raises(CsilocError, match="CSILOC_THREADS"):
                 conv.forward(np.zeros((1, 1, 1, 8)))
+
+
+def conv_backward(conv, tape, grad_out, input_grad=True):
+    """(input gradient, weight gradient, bias gradient) of one backward that
+    accumulates onto fixed nonzero gradients; the tape is left as it was."""
+    conv.w.grad[...] = np.random.default_rng(60).standard_normal(conv.w.grad.shape)
+    conv.b.grad[...] = np.random.default_rng(61).standard_normal(conv.b.grad.shape)
+    gx = conv.backward(grad_out, list(tape), input_grad)
+    return gx, conv.w.grad.copy(), conv.b.grad.copy()
+
+
+def dense_backward(dense, tape, grad_out):
+    dense.w.grad[...] = np.random.default_rng(62).standard_normal(dense.w.grad.shape)
+    dense.b.grad[...] = 0.0
+    gx = dense.backward(grad_out, list(tape))
+    return gx, dense.w.grad.copy(), dense.b.grad.copy()
+
+
+def assert_same(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        npt.assert_array_equal(x, y)
+
+
+class TestBackwardSplit:
+    """A backward split over two threads keeps every serial bit."""
+
+    @staticmethod
+    def conv_case(monkeypatch, shape):
+        b, c, f, h, w, k, s, padding = shape
+        conv = make_conv(c, f, k, s, padding, seed=55)
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        tape = []
+        out = conv.forward(np.random.default_rng(56).standard_normal((b, c, h, w)), tape)
+        return conv, tape, np.random.default_rng(57).standard_normal(out.shape)
+
+    @pytest.mark.parametrize("shape", list(BACKWARD_SHAPES.values()), ids=list(BACKWARD_SHAPES))
+    def test_conv_bitwise_for_each_thread_count(self, monkeypatch, shape):
+        conv, tape, grad_out = self.conv_case(monkeypatch, shape)
+        serial = conv_backward(conv, tape, grad_out)
+        assert_same(conv_backward(conv, tape, grad_out, input_grad=False), (None,) + serial[1:])
+        for threads in (2, 3):
+            pool = CountingPool(layers._POOL)
+            monkeypatch.setattr(layers, "_POOL", pool)
+            monkeypatch.setenv("CSILOC_THREADS", str(threads))
+            assert_same(conv_backward(conv, tape, grad_out), serial)
+            assert pool.submits == (grad_out.size >= layers._SPLIT_FLOOR), threads
+            assert_same(conv_backward(conv, tape, grad_out, input_grad=False), (None,) + serial[1:])
+            assert pool.submits == (grad_out.size >= layers._SPLIT_FLOOR), threads  # no input task to hand out
+
+    @pytest.mark.parametrize("shape", list(BACKWARD_SHAPES.values()), ids=list(BACKWARD_SHAPES))
+    def test_conv_caller_runs_task_no_thread_started(self, monkeypatch, shape):
+        conv, tape, grad_out = self.conv_case(monkeypatch, shape)
+        serial = conv_backward(conv, tape, grad_out)
+        monkeypatch.setattr(layers, "_POOL", StalledPool())
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        assert_same(conv_backward(conv, tape, grad_out), serial)
+
+    def test_concurrent_split_backwards(self, monkeypatch):
+        """Callers racing for the pool, some running input tasks it has not started, get the serial bits."""
+        rng = np.random.default_rng(67)
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        cases = []
+        for i in range(4):   # two input tasks in flight per core
+            conv = make_conv(4, 6, 5, 1, "same", seed=68 + i)
+            tape = []
+            out = conv.forward(rng.standard_normal((8, 4, 16, 64)), tape)
+            grad_out = rng.standard_normal(out.shape)
+            cases.append((conv, tape, grad_out, conv_backward(conv, tape, grad_out)))
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+
+        def matches_serial(i):
+            conv, tape, grad_out, serial = cases[i]
+            return all(np.array_equal(a, b) for a, b in zip(conv_backward(conv, tape, grad_out), serial))
+        assert race(len(cases), matches_serial) == [5] * len(cases)
+
+    # (batch, in_features, units): the input gradient holds 32 x 1024 = the floor, or one less
+    @pytest.mark.parametrize("shape,splits", [((32, 1024, 7), True), ((31, 1057, 7), False),
+                                              ((2, 20000, 3), True), ((32, 4000, 300), True)])
+    def test_dense_bitwise(self, monkeypatch, shape, splits):
+        batch, features, units = shape
+        rng = np.random.default_rng(63)
+        dense = Dense(features, units, rng=rng)
+        tape = []
+        dense.forward(rng.standard_normal((batch, features)), tape)
+        grad_out = rng.standard_normal((batch, units))
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = dense_backward(dense, tape, grad_out)
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        assert_same(dense_backward(dense, tape, grad_out), serial)
+        assert pool.submits == splits
+        monkeypatch.setattr(layers, "_POOL", StalledPool())
+        assert_same(dense_backward(dense, tape, grad_out), serial)
+        dense.w.grad[...] = 0.0
+        assert dense.backward(grad_out, list(tape), input_grad=False) is None
+        npt.assert_array_equal(dense.w.grad, grad_out.T @ tape[0][1])
+
+    def test_split_peaks_one_output_above_serial(self, monkeypatch):
+        conv = make_conv(4, 8, 5, 1, "same", seed=64)
+        tape = []
+        out = conv.forward(np.random.default_rng(65).standard_normal((16, 4, 16, 64)), tape)
+        grad_out = np.random.default_rng(66).standard_normal(out.shape)
+        peaks = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            conv.backward(grad_out, list(tape))   # the pool's threads start outside the traced call
+            tracemalloc.start()
+            try:
+                conv.backward(grad_out, list(tape))
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # split, the input products get their own buffer beside the weight taps' window
+        assert peaks["2"] <= peaks["1"] + grad_out.nbytes + 16384, peaks
+        assert peaks["1"] > 2 * grad_out.nbytes
 
 
 class TestConvBackward:

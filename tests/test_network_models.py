@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from csiloc import models
 from csiloc.errors import CheckpointError, ShapeError
 from csiloc.layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit
-from csiloc.models import (ArchConfig, DEFAULT_ARCH, build_model, build_tiny, count_weights,
+from csiloc.models import (ArchConfig, DEFAULT_ARCH, MODEL_KINDS, build_model, build_tiny, count_weights,
                            load_checkpoint, save_checkpoint, weights_millions)
-from csiloc.network import Network, gradient_check
+from csiloc.network import Network, gradient_check, mde_loss
 
 from conftest import desk_arch
 
@@ -164,6 +164,25 @@ def test_no_import_inside_a_function():
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def _pool_submits(node, function=None):
+    """The innermost function around each `_POOL.submit` (or `x._POOL.submit`) under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "submit"
+            and "_POOL" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))):
+        yield function
+    for child in ast.iter_child_nodes(node):
+        yield from _pool_submits(child, function)
+
+
+def test_pool_submits_only_in_fan_out():
+    """layers._fan_out is the one place work goes to the pool, so no second copy of
+    its run-first, cancel-and-run-the-rest loop can come back."""
+    found = [(path.name, function) for path in sorted(Path(models.__file__).parent.glob("*.py"))
+             for function in _pool_submits(ast.parse(path.read_text()))]
+    assert found == [("layers.py", "_fan_out")]
 
 
 def test_every_import_is_used():
@@ -328,6 +347,47 @@ class TestGradientCheck:
     def test_tiny_cnn4_rig(self):
         net, x, target = build_tiny("cnn4")
         assert gradient_check(net, x, target).max_rel_err < 1e-4
+
+
+def _residual_first():
+    """A network whose first layer with parameters is a residual unit."""
+    rng = np.random.default_rng(32)
+    net = Network([ReLU(), ResidualUnit(2, 3, rng=rng), Flatten(), Dense(2 * 2 * 9, 3, rng=rng)], (2, 2, 9))
+    for p in net.params():
+        p.value += rng.uniform(-0.2, 0.2, p.value.shape)
+    return net, rng.standard_normal((2, 2, 2, 9)), rng.uniform(1.0, 3.0, (2, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS) + ["residual_first"])
+def test_backward_skips_only_the_input_gradient(kind):
+    """Network.backward computes no gradient for the batch, and every parameter
+    gets the gradient a layer-by-layer backward that does compute it gives."""
+    net, x, target = _residual_first() if kind == "residual_first" else build_tiny(kind)
+    tape = []
+    _, grad = mde_loss(net.forward(x, tape), target)
+    skipped, returned = list(tape), []
+
+    def recorded(backward):
+        def run(*args, **kwargs):
+            returned.append(backward(*args, **kwargs))
+            return returned[-1]
+        return run
+    for layer in net.layers:
+        layer.backward = recorded(layer.backward)
+    net.zero_grads()
+    assert net.backward(grad, skipped) is None and skipped == []
+    # the layers before the first with parameters run no backward, and it returns nothing
+    first = next(i for i, layer in enumerate(net.layers) if layer.params())
+    assert len(returned) == len(net.layers) - first and returned[-1] is None
+    for layer in net.layers:
+        del layer.backward
+    ours = [p.grad.copy() for p in net.params()]
+    net.zero_grads()
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad, tape)
+    assert grad.shape == x.shape and tape == []
+    for mine, p in zip(ours, net.params(), strict=True):
+        npt.assert_array_equal(mine, p.grad)
 
 
 def _weights_and_bias(*layers):

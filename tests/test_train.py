@@ -2,12 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from csiloc import layers
 from csiloc.data import Dataset, NormStats
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.layers import Param
-from csiloc.models import build_model, build_tiny, load_checkpoint
+from csiloc.models import MODEL_KINDS, build_model, build_tiny, load_checkpoint
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
+
+from conftest import CountingPool, StalledPool
 
 
 class TestMdeLoss:
@@ -68,6 +71,55 @@ class TestSgdStep:
         p.grad[...] = np.nan
         with pytest.raises(TrainingDivergedError):
             sgd_momentum_step([p], lr=0.1, momentum=0.9)
+
+    @staticmethod
+    def state(nan_at=None):
+        """Five parameters with random values, gradients and velocities; the second,
+        third and fifth hold two floors or more, so two threads split them."""
+        floor = layers._SPLIT_FLOOR
+        rng = np.random.default_rng(70)
+        params = []
+        for shape in [(3,), (2 * floor + 5,), (7, 2 * floor // 7 + 1), (10,), (3, floor)]:
+            p = Param(rng.standard_normal(shape))
+            p.grad[...] = rng.standard_normal(shape)
+            p.vel[...] = rng.standard_normal(shape)
+            params.append(p)
+        if nan_at is not None:
+            params[nan_at].grad.flat[-1] = np.nan   # in its last part
+        return params
+
+    @staticmethod
+    def assert_same(a, b):
+        for p, q in zip(a, b, strict=True):
+            npt.assert_array_equal(p.value, q.value)
+            npt.assert_array_equal(p.vel, q.vel)
+
+    @pytest.mark.parametrize("threads,submits", [("2", 3), ("3", 4)])
+    def test_split_bitwise(self, monkeypatch, threads, submits):
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = self.state()
+        sgd_momentum_step(serial, lr=1e-3, momentum=0.9)
+        monkeypatch.setenv("CSILOC_THREADS", threads)
+        pool = CountingPool(layers._POOL)
+        for stand_in in (pool, StalledPool()):
+            monkeypatch.setattr(layers, "_POOL", stand_in)
+            split = self.state()
+            sgd_momentum_step(split, lr=1e-3, momentum=0.9)
+            self.assert_same(split, serial)
+        assert pool.submits == submits
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_nan_in_parameter_k(self, monkeypatch, k):
+        """The parameters before k are updated, k and those after it are untouched."""
+        start, ends = self.state(), {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            ends[threads] = self.state(nan_at=k)
+            with pytest.raises(TrainingDivergedError):
+                sgd_momentum_step(ends[threads], lr=1e-3, momentum=0.9)
+        self.assert_same(ends["2"], ends["1"])
+        self.assert_same(ends["1"][k:], start[k:])
+        assert all((p.value != q.value).all() for p, q in zip(ends["1"][:k], start[:k]))
 
 
 class TestPlateauSchedule:
@@ -291,3 +343,27 @@ class TestTrainLoop:
             TrainConfig(stop_patience=5, lr_patience=10)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_split_training_is_bitwise(monkeypatch, kind):
+    """With a one-element floor every conv, dense and optimizer step splits at two
+    threads; training gives the one-thread weights, velocities and history."""
+    monkeypatch.setattr(layers, "_SPLIT_FLOOR", 1)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CSILOC_THREADS", threads)
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        net, _, _ = build_tiny(kind)
+        rng = np.random.default_rng(71)
+        ds = Dataset(rng.standard_normal((40,) + net.input_shape), np.zeros((40, net.input_shape[1])),
+                     rng.uniform(1.0, 3.0, (40, 3)))
+        net, hist = train(net, ds, TrainConfig(max_epochs=2, batch_size=8, seed=3))
+        runs[threads] = ([p.value for p in net.params()], [p.vel for p in net.params()],
+                         [(r.epoch, r.train_mde, r.monitor_mde, r.lr) for r in hist.records])
+        assert (pool.submits > 0) == (threads == "2")
+    for one, two in zip(runs["1"][:2], runs["2"][:2]):
+        for a, b in zip(one, two, strict=True):
+            npt.assert_array_equal(a, b)
+    assert runs["1"][2] == runs["2"][2]
