@@ -13,14 +13,15 @@ two conventions cannot be confused.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset, NormStats, apply_normalizer, make_output_dir
 from .errors import CsilocError
-from .layers import _threads, share_threads
+from .layers import _fan_out, _parts, _threads
 from .models import count_weights
 
 _EVAL_CHUNK = 256
@@ -74,22 +75,20 @@ class EvalReport:
 
 def predict(net, x, norm):
     """Position estimates for raw CSI, divided by norm's scale and forwarded in
-    fixed-size chunks, so only the chunks in flight are float64. Up to
-    CSILOC_THREADS workers run the chunks, each with an equal share of those
-    threads for its conv forwards; results are gathered in submission order,
-    so they do not depend on the worker count.
+    fixed-size chunks, so only the chunks in flight are float64. The chunks are
+    split into parts like a conv's batch (layers._parts), each a _fan_out task on
+    the one pool whose convs get the task's share of CSILOC_THREADS. Every chunk
+    writes its own rows, so the estimates do not depend on the split.
     """
-    def forward(chunk):
-        return net.forward(apply_normalizer(chunk, norm))
+    out = np.empty((len(x),) + net.output_shape)
 
-    chunks = [x[s:s + _EVAL_CHUNK] for s in range(0, len(x), _EVAL_CHUNK)]
-    threads = _threads()
-    workers = min(threads, len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers, initializer=share_threads,
-                                initargs=(threads // workers,)) as pool:
-            return np.vstack(list(pool.map(forward, chunks)))
-    return np.vstack([forward(c) for c in chunks])
+    def forward(lo, hi):
+        for s in range(lo * _EVAL_CHUNK, min(hi * _EVAL_CHUNK, len(x)), _EVAL_CHUNK):
+            out[s:s + _EVAL_CHUNK] = net.forward(apply_normalizer(x[s:s + _EVAL_CHUNK], norm))
+
+    n_chunks = -(-len(x) // _EVAL_CHUNK)
+    _fan_out([partial(forward, lo, hi) for lo, hi in _parts(n_chunks, _EVAL_CHUNK * math.prod(net.input_shape))])
+    return out
 
 
 def evaluate(model, eval_set: Dataset, norm: NormStats, metadata=None) -> EvalReport:

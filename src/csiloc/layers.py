@@ -19,8 +19,9 @@ for the weight gradient and one for the input gradient: equal to the loop only
 to rounding. On two threads the caller runs every tap's weight product while a
 pool thread runs every tap's input product, in tap order, so each gradient
 gets the serial bits. The dense backward runs its two products the same way.
-All fan-out goes through _fan_out, and a pool task writes only into buffers
-its caller allocated.
+All parallel work, evaluation's chunks included, goes through _fan_out on the
+one pool, _POOL. Each task it runs gets an equal share of its caller's
+threads, and a pool task writes only into buffers its caller allocated.
 
 Layers keep no per-call state. `forward(x, tape)` pushes what its backward
 needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
@@ -45,16 +46,13 @@ DTYPE = np.float64
 # work is split only while each part holds this many output elements; below
 # it, handing a part to another thread costs more than it saves
 _SPLIT_FLOOR = 1 << 15
-# the threads that run _fan_out's tasks beyond the caller's own; it starts each
-# thread at a submit that finds none idle, and its tasks never wait on it, so a
-# fan-out cannot deadlock on a busy pool
-_POOL = ThreadPoolExecutor(thread_name_prefix="csiloc-pool")
+# _fan_out's threads beside the caller, one per other core; no deadlock, since no task waits on an unstarted one
+_POOL = ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="csiloc-pool")
 _SHARE = threading.local()
 
 
 def _threads():
-    """Threads this thread may run: the share of the budget that share_threads gave
-    it, else CSILOC_THREADS, else the CPU count."""
+    """Threads this thread may run: its task's share from _fan_out, else CSILOC_THREADS, else the CPU count."""
     share = getattr(_SHARE, "threads", None)
     if share is not None:
         return share
@@ -62,11 +60,6 @@ def _threads():
     if not cap.isdecimal() or int(cap) < 1:
         raise CsilocError(f"CSILOC_THREADS must be a positive integer, got {cap!r}")
     return int(cap)
-
-
-def share_threads(threads):
-    """Cap _threads() at threads on the calling thread (a worker's part of a budget)."""
-    _SHARE.threads = threads
 
 
 def _parts(n, unit=1):
@@ -78,15 +71,28 @@ def _parts(n, unit=1):
     return list(zip(bounds, bounds[1:]))
 
 
+def _run_share(task, threads):
+    """Run task with _threads() at threads on this thread, then restore its value."""
+    outer = getattr(_SHARE, "threads", None)
+    _SHARE.threads = threads
+    try:
+        task()
+    finally:
+        _SHARE.threads = outer
+
+
 def _fan_out(tasks, split=True):
     """Run the callables in tasks; unless split, all in order on the caller.
 
-    Split, the caller runs the first while _POOL runs the rest. A task that no
-    pool thread has started when the caller is done is cancelled and run by the
+    Each task runs with _threads() at an equal share of the caller's. Split,
+    the caller runs the first while _POOL runs the rest. A task that no pool
+    thread has started when the caller is done is cancelled and run by the
     caller, so a busy core costs no wait. A task writes only into buffers the
     caller allocated: a large allocation on a pool thread grows that thread's
     own malloc arena.
     """
+    share = max(1, _threads() // len(tasks))
+    tasks = [partial(_run_share, task, share) for task in tasks]
     if not split:
         for task in tasks:
             task()

@@ -32,9 +32,9 @@ def sgd_momentum_step(params, lr, momentum):
     updated in parts, one per thread (layers._parts), block by block; every
     element gets the same operations whatever the split."""
     for p in params:
-        if not np.isfinite(p.grad).all():
-            raise TrainingDivergedError("non-finite gradient in optimizer step")
         v, w, g = p.vel.reshape(-1), p.value.reshape(-1), p.grad.reshape(-1)
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):   # NaN propagates through both
+            raise TrainingDivergedError("non-finite gradient in optimizer step")
         parts = _parts(g.size)
         steps = np.empty((len(parts), min(g.size, _SGD_BLOCK)))   # a block of lr * g per part
 

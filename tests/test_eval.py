@@ -17,7 +17,7 @@ from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, pre
 from csiloc.layers import ResidualUnit
 from csiloc.models import build_model, build_tiny, count_weights, save_checkpoint
 
-from conftest import CountingPool, desk_arch
+from conftest import CountingPool, StalledPool, desk_arch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -273,7 +273,7 @@ def desk_cnn4r():
 
 
 class TestThreadBudget:
-    """predict's chunk workers and the conv forwards inside them share CSILOC_THREADS."""
+    """predict's chunk tasks and the conv forwards inside them share CSILOC_THREADS."""
 
     def test_chunk_workers_split_no_conv(self, monkeypatch):
         net = desk_cnn4r()   # its block-1 convs split a 256-sample chunk on two threads
@@ -284,9 +284,36 @@ class TestThreadBudget:
         monkeypatch.setattr(layers, "_POOL", pool)
         monkeypatch.setenv("CSILOC_THREADS", "2")
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
-        assert pool.submits == 0      # two workers with one thread each
+        assert pool.submits == 1      # the second part's task; parts of one thread each split no conv
+        pool.submits = 0
         npt.assert_array_equal(predict(net, x[:256], NormStats(2.0)), serial[:256])
-        assert pool.submits > 0       # one chunk: its worker has both threads
+        assert pool.submits > 0       # one chunk: its task has both threads
+
+    def test_caller_runs_every_chunk_no_thread_started(self, monkeypatch):
+        net = desk_cnn4r()
+        x = np.random.default_rng(33).standard_normal((256 + 1,) + net.input_shape)  # two chunks
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = predict(net, x, NormStats(2.0))
+        monkeypatch.setattr(layers, "_POOL", StalledPool())
+        monkeypatch.setenv("CSILOC_THREADS", "4")   # the chunk task and the convs inside both split
+        npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
+
+    def test_chunk_tasks_split_their_share(self, monkeypatch):
+        """At four threads, each of two chunk tasks gets two: its block-1 convs split
+        as a lone chunk's do at two threads."""
+        net = desk_cnn4r()
+        x = np.random.default_rng(34).standard_normal((2 * 256,) + net.input_shape)  # two full chunks
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        serial = predict(net, x, NormStats(2.0))
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        predict(net, x[:256], NormStats(2.0))
+        per_chunk, pool.submits = pool.submits, 0
+        assert per_chunk > 1
+        monkeypatch.setenv("CSILOC_THREADS", "4")
+        npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
+        assert pool.submits == 1 + 2 * per_chunk   # the second chunk task, then each task's conv splits
 
     def test_eval_process_exits(self, tmp_path):
         """A pool thread left running would keep csiloc eval's interpreter alive."""

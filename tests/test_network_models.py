@@ -185,10 +185,30 @@ def test_pool_submits_only_in_fan_out():
     assert found == [("layers.py", "_fan_out")]
 
 
+def test_one_executor():
+    """layers._POOL is the one executor, so parallel work has one implementation:
+    src/csiloc calls ThreadPoolExecutor once, for _POOL, and only layers imports
+    concurrent.futures."""
+    executors, importers = [], []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assigned = {id(node.value): target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        executors += [(path.name, assigned.get(id(node))) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and "ThreadPoolExecutor" in
+                      (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        importers += [path.name for node in ast.walk(tree)
+                      if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"))
+                      or (isinstance(node, ast.Import) and any(a.name.startswith("concurrent") for a in node.names))]
+    assert executors == [("layers.py", "_POOL")]
+    assert importers == ["layers.py"]
+
+
 def test_every_import_is_used():
     """Each name a src/csiloc module imports is used in that module. models imports
-    count_weights only to re-export it beside build_model, for the package and evaluation."""
-    re_exports = {("models.py", "count_weights")}
+    count_weights only to re-export it beside build_model, for the package and evaluation;
+    evaluation imports _threads only for perfbench, which reads csiloc.evaluation._threads."""
+    re_exports = {("models.py", "count_weights"), ("evaluation.py", "_threads")}
     unused = []
     for path in sorted(Path(models.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,12 +8,13 @@ import pytest
 from csiloc import layers
 from csiloc.data import Dataset, NormStats
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
+from csiloc.evaluation import predict
 from csiloc.layers import Param
 from csiloc.models import MODEL_KINDS, build_model, build_tiny, load_checkpoint
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
 
-from conftest import CountingPool, StalledPool
+from conftest import CountingPool, StalledPool, desk_arch
 
 
 class TestMdeLoss:
@@ -120,6 +124,17 @@ class TestSgdStep:
         self.assert_same(ends["2"], ends["1"])
         self.assert_same(ends["1"][k:], start[k:])
         assert all((p.value != q.value).all() for p, q in zip(ends["1"][:k], start[:k]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_gradient(self, monkeypatch, value):
+        """An infinite gradient element raises like a NaN: the parameters from it on are untouched."""
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        start, end = self.state(), self.state()
+        end[2].grad.flat[-1] = value
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+            sgd_momentum_step(end, lr=1e-3, momentum=0.9)
+        self.assert_same(end[2:], start[2:])
+        assert all((p.value != q.value).all() for p, q in zip(end[:2], start[:2]))
 
 
 class TestPlateauSchedule:
@@ -367,3 +382,21 @@ def test_split_training_is_bitwise(monkeypatch, kind):
         for a, b in zip(one, two, strict=True):
             npt.assert_array_equal(a, b)
     assert runs["1"][2] == runs["2"][2]
+
+
+def test_pool_holds_one_thread_per_other_core(monkeypatch):
+    """Six desk cnn4r steps and a three-chunk predict at two threads leave no pool
+    thread beyond one per other core; a task no pool thread starts is run by its caller."""
+    monkeypatch.setenv("CSILOC_THREADS", "2")
+    net = build_model("cnn4r", desk_arch(), (2, 16, 64))
+    rng = np.random.default_rng(72)
+    for _ in range(6):
+        net.zero_grads()
+        tape = []
+        _, grad = mde_loss(net.forward(rng.standard_normal((32,) + net.input_shape), tape),
+                           rng.standard_normal((32, 3)))
+        net.backward(grad, tape)
+        sgd_momentum_step(net.params(), lr=1e-3, momentum=0.9)
+    predict(net, rng.standard_normal((2 * 256 + 1,) + net.input_shape), NormStats(1.0))
+    pool_threads = [t for t in threading.enumerate() if t.name.startswith("csiloc-pool")]
+    assert 0 < len(pool_threads) <= max(1, (os.cpu_count() or 1) - 1)
