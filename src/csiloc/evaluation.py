@@ -13,7 +13,6 @@ two conventions cannot be confused.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, NormStats, apply_normalizer, make_output_dir
 from .errors import CsilocError
-from .layers import _fan_out, _parts, _threads
+from .layers import _SPLIT_FLOOR, _fan_out, _parts, _threads
 from .models import count_weights
 
 _EVAL_CHUNK = 256
@@ -76,9 +75,11 @@ class EvalReport:
 def predict(net, x, norm):
     """Position estimates for raw CSI, divided by norm's scale and forwarded in
     fixed-size chunks, so only the chunks in flight are float64. The chunks are
-    split into parts like a conv's batch (layers._parts), each a _fan_out task on
-    the one pool whose convs get the task's share of CSILOC_THREADS. Every chunk
-    writes its own rows, so the estimates do not depend on the split.
+    split into up to CSILOC_THREADS parts whose convs get a share of the threads.
+    A lone part runs on the caller; else pool threads run them all while the
+    caller waits, so a profiler that parents a pool thread's calls to the call
+    open on the caller sees them in predict's. Every chunk writes its own rows:
+    the estimates do not depend on the split.
     """
     out = np.empty((len(x),) + net.output_shape)
 
@@ -86,8 +87,8 @@ def predict(net, x, norm):
         for s in range(lo * _EVAL_CHUNK, min(hi * _EVAL_CHUNK, len(x)), _EVAL_CHUNK):
             out[s:s + _EVAL_CHUNK] = net.forward(apply_normalizer(x[s:s + _EVAL_CHUNK], norm))
 
-    n_chunks = -(-len(x) // _EVAL_CHUNK)
-    _fan_out([partial(forward, lo, hi) for lo, hi in _parts(n_chunks, _EVAL_CHUNK * math.prod(net.input_shape))])
+    parts = _parts(-(-len(x) // _EVAL_CHUNK), _SPLIT_FLOOR)   # unit _SPLIT_FLOOR: any chunk is a part's worth
+    _fan_out([partial(forward, lo, hi) for lo, hi in parts], on_caller=int(len(parts) == 1))
     return out
 
 

@@ -20,8 +20,8 @@ to rounding. On two threads the caller runs every tap's weight product while a
 pool thread runs every tap's input product, in tap order, so each gradient
 gets the serial bits. The dense backward runs its two products the same way.
 All parallel work, evaluation's chunks included, goes through _fan_out on the
-one pool, _POOL. Each task it runs gets an equal share of its caller's
-threads, and a pool task writes only into buffers its caller allocated.
+one pool, _POOL, of one thread per core. Each task gets an equal share of its
+caller's threads and writes only into buffers its caller allocated.
 
 Layers keep no per-call state. `forward(x, tape)` pushes what its backward
 needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
@@ -46,8 +46,8 @@ DTYPE = np.float64
 # work is split only while each part holds this many output elements; below
 # it, handing a part to another thread costs more than it saves
 _SPLIT_FLOOR = 1 << 15
-# _fan_out's threads beside the caller, one per other core; no deadlock, since no task waits on an unstarted one
-_POOL = ThreadPoolExecutor(max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="csiloc-pool")
+# _fan_out's threads, one per core; no deadlock, since no pool task waits on an unstarted one
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1, thread_name_prefix="csiloc-pool")
 _SHARE = threading.local()
 
 
@@ -81,26 +81,24 @@ def _run_share(task, threads):
         _SHARE.threads = outer
 
 
-def _fan_out(tasks, split=True):
-    """Run the callables in tasks; unless split, all in order on the caller.
+def _fan_out(tasks, on_caller=1):
+    """Run the callables in tasks: the caller runs the first on_caller of them,
+    in order, while _POOL runs the rest.
 
-    Each task runs with _threads() at an equal share of the caller's. Split,
-    the caller runs the first while _POOL runs the rest. A task that no pool
-    thread has started when the caller is done is cancelled and run by the
-    caller, so a busy core costs no wait. A task writes only into buffers the
-    caller allocated: a large allocation on a pool thread grows that thread's
-    own malloc arena.
+    Each task runs with _threads() at an equal share of the caller's. A pool
+    task that no pool thread has started when the caller is done is cancelled
+    and run by the caller, so a busy core costs no wait; a caller that runs
+    none only waits, so it must not be a pool task. A task writes only into
+    buffers the caller allocated: a large allocation on a pool thread grows
+    that thread's own malloc arena.
     """
     share = max(1, _threads() // len(tasks))
     tasks = [partial(_run_share, task, share) for task in tasks]
-    if not split:
-        for task in tasks:
-            task()
-        return
-    futures = [_POOL.submit(task) for task in tasks[1:]]
-    tasks[0]()
-    for future, task in zip(futures, tasks[1:]):
-        if future.cancel():   # no pool thread has started it (its core is busy)
+    futures = [_POOL.submit(task) for task in tasks[on_caller:]]
+    for task in tasks[:on_caller]:
+        task()
+    for future, task in zip(futures, tasks[on_caller:]):
+        if on_caller and future.cancel():   # no pool thread has started it (its core is busy)
             task()
         else:
             future.result()
@@ -295,7 +293,7 @@ class Conv1xK(Layer):
                 np.matmul(wv[:, :, 0, t].T, g, out=prod.reshape(c, -1))
                 gxt[..., cols] += prod
 
-        _fan_out([weight_taps, input_taps], split)
+        _fan_out([weight_taps, input_taps], 1 if split else 2)
         return gxt.transpose(1, 0, 2, 3)[:, :, :, left:left + in_width]
 
     def out_shape(self, in_shape):
@@ -425,7 +423,7 @@ class Dense(Layer):
             return None
         gx = np.empty(x.shape, dtype=DTYPE)
         _fan_out([weight_grad, partial(np.matmul, grad_out, self.w.value, out=gx)],
-                 len(_parts(2, x.size)) > 1)
+                 1 if len(_parts(2, x.size)) > 1 else 2)
         return gx
 
     def out_shape(self, in_shape):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from csiloc.evaluation import EvalReport, emit_reports, evaluate, mde, nmde, pre
 from csiloc.layers import ResidualUnit
 from csiloc.models import build_model, build_tiny, count_weights, save_checkpoint
 
-from conftest import CountingPool, StalledPool, desk_arch
+from conftest import CountingPool, desk_arch
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,19 +285,24 @@ class TestThreadBudget:
         monkeypatch.setattr(layers, "_POOL", pool)
         monkeypatch.setenv("CSILOC_THREADS", "2")
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
-        assert pool.submits == 1      # the second part's task; parts of one thread each split no conv
+        assert pool.submits == 2      # the two parts' tasks; parts of one thread each split no conv
         pool.submits = 0
         npt.assert_array_equal(predict(net, x[:256], NormStats(2.0)), serial[:256])
         assert pool.submits > 0       # one chunk: its task has both threads
 
-    def test_caller_runs_every_chunk_no_thread_started(self, monkeypatch):
+    def test_caller_only_waits(self, monkeypatch):
+        """Pool threads forward every chunk while predict's caller waits, so a profiler
+        that parents a pool thread's calls to the caller's open call sees them in it."""
         net = desk_cnn4r()
-        x = np.random.default_rng(33).standard_normal((256 + 1,) + net.input_shape)  # two chunks
+        x = np.random.default_rng(33).standard_normal((2 * 256 + 1,) + net.input_shape)  # three chunks
         monkeypatch.setenv("CSILOC_THREADS", "1")
         serial = predict(net, x, NormStats(2.0))
-        monkeypatch.setattr(layers, "_POOL", StalledPool())
-        monkeypatch.setenv("CSILOC_THREADS", "4")   # the chunk task and the convs inside both split
+        threads = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda *a: threads.append(threading.get_ident()) or forward(*a))
+        monkeypatch.setenv("CSILOC_THREADS", "2")
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
+        assert len(threads) == 3 and threading.get_ident() not in threads
 
     def test_chunk_tasks_split_their_share(self, monkeypatch):
         """At four threads, each of two chunk tasks gets two: its block-1 convs split
@@ -309,11 +315,11 @@ class TestThreadBudget:
         monkeypatch.setattr(layers, "_POOL", pool)
         monkeypatch.setenv("CSILOC_THREADS", "2")
         predict(net, x[:256], NormStats(2.0))
-        per_chunk, pool.submits = pool.submits, 0
+        per_chunk, pool.submits = pool.submits, 0   # a lone chunk runs on the caller
         assert per_chunk > 1
         monkeypatch.setenv("CSILOC_THREADS", "4")
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
-        assert pool.submits == 1 + 2 * per_chunk   # the second chunk task, then each task's conv splits
+        assert pool.submits == 2 + 2 * per_chunk   # the two chunk tasks, then each task's conv splits
 
     def test_eval_process_exits(self, tmp_path):
         """A pool thread left running would keep csiloc eval's interpreter alive."""

@@ -166,42 +166,33 @@ def test_no_import_inside_a_function():
     assert found == []
 
 
-def _pool_submits(node, function=None):
-    """The innermost function around each `_POOL.submit` (or `x._POOL.submit`) under node."""
+def _pool_uses(node, function=None):
+    """(use, innermost function) for each `_POOL.submit` (or `x._POOL.submit`),
+    ThreadPoolExecutor call and concurrent.futures import under node."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
     if (isinstance(node, ast.Attribute) and node.attr == "submit"
             and "_POOL" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))):
-        yield function
+        yield "submit", function
+    if isinstance(node, ast.Call) and "ThreadPoolExecutor" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None)):
+        yield "executor", function
+    if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent")
+            or isinstance(node, ast.Import) and any(a.name.startswith("concurrent") for a in node.names)):
+        yield "import", function
     for child in ast.iter_child_nodes(node):
-        yield from _pool_submits(child, function)
+        yield from _pool_uses(child, function)
 
 
 def test_pool_submits_only_in_fan_out():
-    """layers._fan_out is the one place work goes to the pool, so no second copy of
-    its run-first, cancel-and-run-the-rest loop can come back."""
-    found = [(path.name, function) for path in sorted(Path(models.__file__).parent.glob("*.py"))
-             for function in _pool_submits(ast.parse(path.read_text()))]
-    assert found == [("layers.py", "_fan_out")]
-
-
-def test_one_executor():
-    """layers._POOL is the one executor, so parallel work has one implementation:
-    src/csiloc calls ThreadPoolExecutor once, for _POOL, and only layers imports
-    concurrent.futures."""
-    executors, importers = [], []
-    for path in sorted(Path(models.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        assigned = {id(node.value): target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                    for target in node.targets if isinstance(target, ast.Name)}
-        executors += [(path.name, assigned.get(id(node))) for node in ast.walk(tree)
-                      if isinstance(node, ast.Call) and "ThreadPoolExecutor" in
-                      (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-        importers += [path.name for node in ast.walk(tree)
-                      if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"))
-                      or (isinstance(node, ast.Import) and any(a.name.startswith("concurrent") for a in node.names))]
-    assert executors == [("layers.py", "_POOL")]
-    assert importers == ["layers.py"]
+    """layers._POOL is the one executor and layers._fan_out the one place work goes
+    to it, so parallel work has one implementation and no second copy of its
+    run-first, cancel-and-run-the-rest loop can come back: src/csiloc imports
+    concurrent.futures and calls ThreadPoolExecutor only at layers' module level."""
+    found = [(path.name, use, function) for path in sorted(Path(models.__file__).parent.glob("*.py"))
+             for use, function in _pool_uses(ast.parse(path.read_text()))]
+    assert found == [("layers.py", "import", None), ("layers.py", "executor", None),
+                     ("layers.py", "submit", "_fan_out")]
 
 
 def test_every_import_is_used():
