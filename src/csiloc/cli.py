@@ -160,7 +160,6 @@ def cmd_train(args):
     started = _utc_now()
     # save_checkpoint writes model.ckpt.tmp first, then renames it
     _check_output_names(args.out, ("model.ckpt", "model.ckpt.tmp", "history.csv"))
-    ds = load_canonical(args.train)
     arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
     if args.seed is not None:
         train_kw["seed"] = args.seed
@@ -169,6 +168,7 @@ def cmd_train(args):
     if args.batch_size is not None:
         train_kw["batch_size"] = args.batch_size
     train_cfg = TrainConfig(**train_kw)
+    ds = load_canonical(args.train)
 
     net = build_model(args.model, arch_fields, (2, ds.n_antennas, ds.n_subcarriers))
 

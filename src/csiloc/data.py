@@ -3,10 +3,11 @@ generation, normalization and the four train/evaluation split geometries.
 
 A dataset is a batch of labeled fingerprints: CSI as (N, 2, A, W) (Re/Im
 channels first, A antennas, W subcarriers), per-antenna SNR in dB, and 3-D
-transmitter positions in meters in the dataset's native frame. CSI read from
-a container or a float32/complex64 NPY stays float32, as a view of the bytes
-read; any other CSI is float64, and apply_normalizer makes each batch that
-enters the network float64. SNR and positions are float64.
+transmitter positions in meters in the dataset's native frame. All three are
+float32, the values the container holds: read ones are views of the bytes
+read, and anything else is rounded once, when the Dataset is made. Float64
+exists only in computation: apply_normalizer makes each batch or chunk that
+enters the network float64.
 """
 
 import json
@@ -51,10 +52,9 @@ class Dataset:
     frame: str = "native"
 
     def __post_init__(self):
-        csi = np.asarray(self.csi)   # float32 stays float32 until apply_normalizer
-        self.csi = csi if csi.dtype == np.float32 else csi.astype(np.float64, copy=False)
-        self.snr = np.asarray(self.snr, dtype=np.float64)
-        self.pos = np.asarray(self.pos, dtype=np.float64)
+        with np.errstate(over="ignore"):   # a value float32 cannot hold becomes inf, rejected below
+            self.csi, self.snr, self.pos = (np.asarray(v, dtype=np.float32)
+                                            for v in (self.csi, self.snr, self.pos))
         if self.csi.ndim != 4 or self.csi.shape[1] != 2:
             raise DataFormatError(f"csi must be (N, 2, antennas, subcarriers), got {self.csi.shape}")
         n = self.csi.shape[0]
@@ -120,7 +120,7 @@ def write_canonical(directory, ds: Dataset):
         "frame": ds.frame,
     }
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    # a loaded or imported float32 CSI transposes back to its own contiguous bytes: no copy
+    # loaded, imported, generated or split CSI transposes back to its own contiguous bytes: no copy
     for path, arr in zip(blob_paths, (ds.csi.transpose(0, 2, 3, 1), ds.snr, ds.pos)):
         np.ascontiguousarray(arr, dtype="<f4").tofile(path)
 
@@ -197,10 +197,10 @@ def import_npy(csi_path, snr_path, pos_path) -> Dataset:
 def export_npy(directory, ds: Dataset):
     """Write the complex64/float32 NPY triple the importer accepts."""
     directory = make_output_dir(directory)
-    h = (ds.csi[:, 0] + 1j * ds.csi[:, 1]).astype(np.complex64)
-    write_npy(directory / "csi.npy", h)
-    write_npy(directory / "snr.npy", ds.snr.astype(np.float32))
-    write_npy(directory / "pos.npy", ds.pos.astype(np.float32))
+    pairs = np.ascontiguousarray(ds.csi.transpose(0, 2, 3, 1))   # (re, im) last: complex64's layout
+    write_npy(directory / "csi.npy", pairs.view(np.complex64)[..., 0])
+    write_npy(directory / "snr.npy", ds.snr)
+    write_npy(directory / "pos.npy", ds.pos)
 
 
 # --- synthetic generation ----------------------------------------------------
@@ -307,8 +307,8 @@ def generate_synthetic(cfg: SynthConfig):
     pos = rng.uniform(lows, highs, size=(cfg.num_samples, 3))
     target_snr = rng.uniform(*cfg.snr_db_range, size=cfg.num_samples)
     n, a, w = cfg.num_samples, SYNTH_ARRAY_ROWS * SYNTH_ARRAY_COLS, cfg.num_subcarriers
-    csi = np.empty((n, 2, a, w))
-    snr = np.empty((n, a))
+    csi = np.empty((n, a, w), dtype=np.complex64)   # the container's (re, im) float32 pairs
+    snr = np.empty((n, a), dtype=np.float32)
     for start in range(0, n, _GEN_CHUNK):
         stop = min(start + _GEN_CHUNK, n)
         h = channel_response(cfg, pos[start:stop], refl_points, refl_gains)
@@ -317,11 +317,9 @@ def generate_synthetic(cfg: SynthConfig):
         noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
         noise *= np.sqrt(sigma2 / 2.0)[:, :, None]
         p_noise = np.mean(np.abs(noise) ** 2, axis=2)
-        h = h + noise
-        csi[start:stop, 0] = h.real
-        csi[start:stop, 1] = h.imag
+        csi[start:stop] = h + noise
         snr[start:stop] = 10.0 * np.log10(p_sig / p_noise)
-    return Dataset(csi, snr, pos)
+    return Dataset(csi.view(np.float32).reshape(n, a, w, 2).transpose(0, 3, 1, 2), snr, pos)
 
 
 # --- normalization -----------------------------------------------------------
@@ -338,8 +336,7 @@ class NormStats:
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
-    # ndarray.std() on a float64 copy, centred and squared in place: one temporary,
-    # and the same sums in the same order whether the CSI is float32 or float64
+    # ndarray.std() of the float64 values, centred and squared in place: one temporary
     x = train.csi.astype(np.float64)
     x -= x.mean(keepdims=True)
     scale = float(np.sqrt(np.square(x, out=x).mean()))

@@ -103,7 +103,7 @@ def evaluate(model, eval_set: Dataset, norm: NormStats, metadata=None) -> EvalRe
     bad = np.flatnonzero(~np.isfinite(estimate).all(axis=1))
     if bad.size:
         raise CsilocError(f"non-finite position estimates for {bad.size} of {len(estimate)} samples")
-    truth = eval_set.pos
+    truth = eval_set.pos.astype(np.float64)
     dist = np.linalg.norm(truth - estimate, axis=1)
     norm_truth = np.linalg.norm(truth, axis=1)
     mde_v = mde(dist)

@@ -98,6 +98,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 0 or self.batch_size < 1 or self.lr_patience < 1:
             raise ValueError("epoch/batch/patience counts must be positive")
+        if not 0.0 < self.lr0 < np.inf:   # NaN fails every comparison
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ValueError("lr_factor must be in (0, 1)")
         if self.stop_patience <= self.lr_patience:

@@ -10,6 +10,7 @@ from csiloc import cli, layers
 from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, load_canonical, SynthConfig
 from csiloc.models import DEFAULT_ARCH, build_model, count_weights, load_checkpoint, save_checkpoint
+from csiloc.npyio import write_npy
 from csiloc.train import TrainConfig
 
 from conftest import CONFIGS, desk_arch
@@ -252,6 +253,22 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert f"config field {next(iter(flat))!r}" in err and "wrong type" in err
 
+    # JSON's NaN and Infinity parse as floats; a negative rate climbs the loss
+    @pytest.mark.parametrize("flat", [
+        {"lr0": -1e-3}, {"lr0": 0.0}, {"lr0": float("nan")}, {"lr0": float("inf")},
+        {"momentum": 1.5}, {"momentum": 1.0}, {"momentum": -0.2}, {"momentum": float("nan")},
+    ], ids=repr)
+    def test_untrainable_rate_or_momentum_fails(self, tmp_path, capsys, flat):
+        data = gen_small(tmp_path)
+        capsys.readouterr()
+        cfg = self.write(tmp_path, flat)
+        assert run("train", "--model", "linear", "--config", cfg, "--train", data,
+                   "--out", tmp_path / "o") == 1
+        lines = capsys.readouterr().err.splitlines()
+        field = next(iter(flat))
+        assert len(lines) == 1 and lines[0].startswith(f"csiloc train: {field} must be")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "count-weights"])
     def test_hidden_on_cnn_rejected(self, tmp_path, capsys, command):
         cfg = self.write(tmp_path, {"hidden": [4]})
@@ -361,6 +378,25 @@ class TestImport:
                    "--pos", raw / "pos.npy", "--out", out) == 0
         back = load_canonical(out)
         assert len(back) == 6 and back.n_subcarriers == 16
+
+    @pytest.mark.parametrize("name, value", [("csi", 1e39), ("snr", 1e39), ("pos", -1e39)])
+    def test_value_beyond_float32_fails(self, tmp_path, capsys, name, value):
+        """A float64 value the container cannot hold fails at import, with no output."""
+        ds = generate_synthetic(SynthConfig(num_samples=6, num_subcarriers=16, seed=3))
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        arrays = {"csi": ds.csi.transpose(0, 2, 3, 1), "snr": ds.snr, "pos": ds.pos}
+        for key, arr in arrays.items():
+            arr = arr.astype(np.float64)
+            if key == name:
+                arr.flat[arr.size // 2] = value
+            write_npy(raw / f"{key}.npy", arr)
+        out = tmp_path / "canonical"
+        assert run("import", "--csi", raw / "csi.npy", "--snr", raw / "snr.npy",
+                   "--pos", raw / "pos.npy", "--out", out) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"csiloc import: non-finite values in {name}"]
+        assert not out.exists()
 
 
 # each command's path options: read as a file, read as a directory, or made as an output directory

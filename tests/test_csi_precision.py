@@ -1,10 +1,11 @@
-"""CSI precision: float32 at rest, float64 one batch at a time.
+"""Precision: float32 at rest, float64 one batch at a time.
 
-A container or complex64 NPY keeps its CSI as float32; apply_normalizer turns
-one gathered batch or chunk into the float64 array the network computes on.
-The normaliser and training must give the same bits as the float64 copy of
-the same values, and split, train and evaluate must hold few copies of the
-CSI at once.
+Every Dataset array is float32, the values its container holds, however the
+Dataset was made; apply_normalizer turns one gathered batch or chunk into the
+float64 array the network computes on. The normaliser must give the bits of
+float64 arithmetic on those values, a generated dataset must train and
+evaluate as its container does, and gen, split, train and evaluate must hold
+few copies of the CSI at once.
 """
 
 import tracemalloc
@@ -14,9 +15,9 @@ import pytest
 
 from csiloc import cli
 from csiloc.cli import main
-from csiloc.data import (Dataset, NormStats, SynthConfig, apply_normalizer, export_npy,
-                         fit_normalizer, generate_synthetic, import_npy, load_canonical,
-                         write_canonical)
+from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, apply_normalizer,
+                         export_npy, fit_normalizer, generate_synthetic, import_npy,
+                         load_canonical, split, write_canonical)
 from csiloc.evaluation import evaluate
 from csiloc.layers import Flatten
 from csiloc.models import build_model
@@ -32,27 +33,30 @@ def float32_dataset(n, a, w, seed, offset=0.0):
                    rng.uniform(0.5, 4.0, (n, 3)))
 
 
-def as_float64(ds):
-    return Dataset(ds.csi.astype(np.float64), ds.snr, ds.pos)
-
-
 def bits(arr):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+def dataset_bits(ds):
+    return [bits(arr) for arr in (ds.csi, ds.snr, ds.pos)]
+
+
 class TestDtype:
-    def test_float32_kept_other_input_float64(self, tmp_path):
+    def test_every_array_float32(self, tmp_path):
+        """Generated, loaded, imported, float64 and int input: all three arrays float32."""
         ds = generate_synthetic(SynthConfig(num_samples=6, num_subcarriers=16, seed=1))
-        assert ds.csi.dtype == np.float64
         write_canonical(tmp_path / "c", ds)
-        assert load_canonical(tmp_path / "c").csi.dtype == np.float32
         export_npy(tmp_path / "npy", ds)
         imported = import_npy(tmp_path / "npy" / "csi.npy", tmp_path / "npy" / "snr.npy",
                               tmp_path / "npy" / "pos.npy")
-        assert imported.csi.dtype == np.float32
-        np.testing.assert_array_equal(imported.csi, ds.csi.astype(np.float32))
-        ints = Dataset(np.ones((1, 2, 1, 8), np.int64), np.ones((1, 1)), np.ones((1, 3)))
-        assert ints.csi.dtype == np.float64
+        loaded = load_canonical(tmp_path / "c")
+        doubles = Dataset(*(arr.astype(np.float64) for arr in (ds.csi, ds.snr, ds.pos)))
+        ints = Dataset(np.ones((1, 2, 1, 8), np.int64), np.ones((1, 1), np.int64),
+                       np.ones((1, 3), np.int64))
+        for d in (ds, loaded, imported, doubles, ints):
+            assert [arr.dtype for arr in (d.csi, d.snr, d.pos)] == [np.float32] * 3
+        for d in (loaded, imported, doubles):
+            assert dataset_bits(d) == dataset_bits(ds)
 
     def test_normalised_csi_is_float64(self):
         ds = float32_dataset(4, 2, 8, seed=0)
@@ -73,13 +77,12 @@ SHAPES = [(3, 2, 8, 0.0), (1, 1, 8, 0.0), (40, 16, 64, 0.0), (9, 16, 924, 0.0), 
 
 @pytest.mark.parametrize("n,a,w,offset", SHAPES)
 def test_normalizer_float32_equals_float64_path(n, a, w, offset):
-    ds32 = float32_dataset(n, a, w, seed=n * w, offset=offset)
-    ds64 = as_float64(ds32)
-    stats = fit_normalizer(ds32)
-    # the scale is ndarray.std() of the float64 values, whichever dtype holds them
-    assert stats == fit_normalizer(ds64) and stats.scale == float(ds64.csi.std())
-    out32, out64 = apply_normalizer(ds32.csi, stats), apply_normalizer(ds64.csi, stats)
-    assert bits(out32) == bits(out64) == bits(ds64.csi / stats.scale)
+    ds = float32_dataset(n, a, w, seed=n * w, offset=offset)
+    csi64 = ds.csi.astype(np.float64)
+    stats = fit_normalizer(ds)
+    # the scale is ndarray.std() of the float64 values, the quotient float64 division
+    assert stats.scale == float(csi64.std())
+    assert bits(apply_normalizer(ds.csi, stats)) == bits(csi64 / stats.scale)
 
 
 def test_normalizer_on_loaded_container(tmp_path):
@@ -87,27 +90,31 @@ def test_normalizer_on_loaded_container(tmp_path):
     write_canonical(tmp_path / "c", ds)
     loaded = load_canonical(tmp_path / "c")
     assert loaded.csi.dtype == np.float32 and not loaded.csi.flags.c_contiguous
-    copy = as_float64(loaded)
+    csi64 = loaded.csi.astype(np.float64)
     stats = fit_normalizer(loaded)
-    assert stats == fit_normalizer(copy)
-    assert bits(apply_normalizer(loaded.csi, stats)) == bits(apply_normalizer(copy.csi, stats))
+    assert stats.scale == float(csi64.std())
+    assert bits(apply_normalizer(loaded.csi, stats)) == bits(csi64 / stats.scale)
 
 
 @pytest.mark.parametrize("kind,arch", [("linear", {}),
                                        ("cnn4", {"base_filters": 2, "kernel": 3, "stride": 2,
                                                  "head_units": 8})])
-def test_train_float32_equals_float64_copy(tmp_path, kind, arch):
+def test_in_memory_equals_container(tmp_path, kind, arch):
+    """A generated dataset trains and evaluates as its container does, bit for bit."""
     ds = generate_synthetic(SynthConfig(num_samples=70, num_subcarriers=32, seed=6))
     write_canonical(tmp_path / "c", ds)
-    loaded = load_canonical(tmp_path / "c")
     cfg = TrainConfig(max_epochs=3, batch_size=8, seed=2)
-    norm = fit_normalizer(loaded)
     runs = []
-    for data in (loaded, as_float64(loaded)):
-        net = build_model(kind, arch, (2, 16, 32))
-        net, history = train(net, data, cfg, norm)
-        runs.append(([bits(v) for v in net.snapshot()],
-                     [(r.epoch, r.train_mde, r.monitor_mde, r.lr) for r in history.records]))
+    for data in (ds, load_canonical(tmp_path / "c")):
+        train_set, eval_set = split(data, SplitStrategy("random", 0.2, 3))
+        norm = fit_normalizer(train_set)
+        net, history = train(build_model(kind, arch, (2, 16, 32)), train_set, cfg, norm)
+        report = evaluate(net, eval_set, norm)
+        arrays = (report.truth, report.estimate, report.distance_error, report.norm_truth)
+        assert all(arr.dtype == np.float64 for arr in arrays)
+        runs.append((norm, [bits(v) for v in net.snapshot()],
+                     [(r.epoch, r.train_mde, r.monitor_mde, r.lr) for r in history.records],
+                     [bits(arr) for arr in arrays], (report.mde_m, report.rmse_m, report.nmde)))
     assert runs[0] == runs[1]
 
 
@@ -128,6 +135,17 @@ def container(tmp_path_factory):
     write_canonical(root / "full", generate_synthetic(
         SynthConfig(num_samples=400, num_subcarriers=128, seed=3)))
     return root / "full"
+
+
+def test_gen_memory_slope(tmp_path):
+    """Doubling n adds about one csi.f32 to gen's peak: no whole-set float64 array or copy."""
+    peaks, sizes = [], []
+    for n in (512, 1024):
+        out = tmp_path / str(n)
+        peaks.append(traced_peak(["gen", "--out", str(out), "--samples", str(n),
+                                  "--subcarriers", "128", "--seed", "5"]))
+        sizes.append((out / "csi.f32").stat().st_size)
+    assert peaks[1] - peaks[0] <= 1.25 * (sizes[1] - sizes[0])
 
 
 def test_split_memory(tmp_path, container):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from csiloc import data
 from csiloc.cli import main
-from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, antenna_positions,
-                         apply_normalizer, channel_response, fit_normalizer,
-                         generate_synthetic, load_canonical, round_half_up, scene_reflectors, split,
-                         split_indices, subcarrier_frequencies, write_canonical,
-                         SPEED_OF_LIGHT, SYNTH_X_RANGE, SYNTH_Y_RANGE)
+from csiloc.data import (CANONICAL_FILES, Dataset, NormStats, SplitStrategy, SynthConfig,
+                         antenna_positions, apply_normalizer, channel_response, export_npy,
+                         fit_normalizer, generate_synthetic, load_canonical, round_half_up,
+                         scene_reflectors, split, split_indices, subcarrier_frequencies,
+                         write_canonical, SPEED_OF_LIGHT, SYNTH_X_RANGE, SYNTH_Y_RANGE,
+                         SYNTH_Z_RANGE)
 from csiloc.errors import DataFormatError, DegenerateGeometryError
 
 
@@ -180,6 +182,19 @@ class TestSyntheticChannel:
         assert np.abs(h).std() > 1e-6
 
 
+# sha256 of `csiloc gen --samples 300 --subcarriers 64 --seed 4`'s container and of
+# export_npy's NPYs of the same dataset, taken when the generator still held float64
+GEN_SHA256 = {
+    "meta.json": "5bdb52f10cb0e32bbc5741f660f95a6255e9bb68b961f0af8dce2aa6d054644d",
+    "csi.f32": "37a04945974918a148f9ecda90feb417bb333468cddceb6ff44ec3c1f396e994",
+    "snr.f32": "91992e53278afbb3ab274bfd92a473b785e3078bd34cec505c508ec326678528",
+    "pos.f32": "9054ad8b0bf7ec6dbc85ab0a47c732ccc8331bca2d16157785ab40f3ff90acfd",
+    "csi.npy": "e969c9735cdc8e63a53204a3fdf7c8ad7f225df271e60a81927a26b88688f181",
+    "snr.npy": "c5a0e2e026e80ad2743bbec4611d26c7197ab6710f2c2e85221d8761df70311b",
+    "pos.npy": "fec12e050f5c28764fea34a0414d0bacf628a0eac406d4c8df934cf95195e1b5",
+}
+
+
 class TestGenerator:
     def test_seed_determinism(self):
         cfg = SynthConfig(num_samples=20, num_subcarriers=16, seed=9)
@@ -191,12 +206,29 @@ class TestGenerator:
     def test_recorded_snr_is_realized(self):
         cfg = SynthConfig(num_samples=12, num_subcarriers=16, num_reflectors=2, seed=10)
         ds = generate_synthetic(cfg)
-        scene = scene_reflectors(cfg, np.random.default_rng(cfg.seed))  # the generator's first draw
-        clean = channel_response(cfg, ds.pos, *scene)
-        noise = (ds.csi[:, 0] + 1j * ds.csi[:, 1]) - clean
+        # the generator's float64 positions, redrawn: the reflectors are its first draw
+        rng = np.random.default_rng(cfg.seed)
+        scene = scene_reflectors(cfg, rng)
+        pos = rng.uniform(*zip(SYNTH_X_RANGE, SYNTH_Y_RANGE, SYNTH_Z_RANGE), size=(cfg.num_samples, 3))
+        npt.assert_array_equal(pos.astype(np.float32), ds.pos)
+        clean = channel_response(cfg, pos, *scene)
+        csi = ds.csi.astype(np.float64)
+        noise = (csi[:, 0] + 1j * csi[:, 1]) - clean
         realized = 10 * np.log10(np.mean(np.abs(clean) ** 2, axis=2)
                                  / np.mean(np.abs(noise) ** 2, axis=2))
-        npt.assert_allclose(ds.snr, realized, atol=1e-9)
+        # the stored SNR and CSI are float32: each is within a few float32 roundings
+        npt.assert_allclose(ds.snr, realized, rtol=1e-6)
+
+    def test_gen_bytes_pinned(self, tmp_path):
+        """csiloc gen's container, and export_npy of the same dataset, keep their bytes."""
+        out = tmp_path / "gen"
+        assert main(["gen", "--out", str(out), "--samples", "300", "--subcarriers", "64",
+                     "--seed", "4"]) == 0
+        export_npy(tmp_path / "npy", generate_synthetic(
+            SynthConfig(num_samples=300, num_subcarriers=64, seed=4)))
+        files = [out / name for name in CANONICAL_FILES] + [
+            tmp_path / "npy" / name for name in ("csi.npy", "snr.npy", "pos.npy")]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == GEN_SHA256
 
     def test_snr_near_target_range(self):
         cfg = SynthConfig(num_samples=30, num_subcarriers=64, seed=11,
@@ -238,7 +270,7 @@ class TestNormalizer:
         stats = fit_normalizer(train)
         before = (ev.csi.copy(), ev.pos.copy(), ev.snr.copy())
         out = apply_normalizer(ev.csi, stats)
-        npt.assert_array_equal(out, ev.csi / stats.scale)
+        npt.assert_array_equal(out, ev.csi.astype(np.float64) / stats.scale)
         for was, now in zip(before, (ev.csi, ev.pos, ev.snr)):
             npt.assert_array_equal(was, now)
 
