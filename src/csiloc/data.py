@@ -7,18 +7,21 @@ transmitter positions in meters in the dataset's native frame. All three are
 float32, the values the container holds: read ones are views of the bytes
 read, and anything else is rounded once, when the Dataset is made. Float64
 exists only in computation: apply_normalizer makes each batch or chunk that
-enters the network float64.
+enters the network float64, and fit_normalizer converts _NORM_CHUNK values at
+a time.
 """
 
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CsilocError, DataFormatError, DegenerateGeometryError
+from .layers import _SPLIT_FLOOR, _fan_out, _threads
 from .npyio import read_npy, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -40,6 +43,9 @@ SYNTH_REFLECTOR_GAIN_RANGE = (0.2, 0.8)
 
 # values a Dataset checks for finiteness at once (rounded to whole samples)
 _FINITE_CHUNK = 1 << 16
+# CSI values fit_normalizer converts to float64 at a time (512 KiB); at least
+# numpy's 128-value pairwise leaf, below which its walk would never end
+_NORM_CHUNK = 1 << 16
 
 
 @dataclass
@@ -52,9 +58,9 @@ class Dataset:
     frame: str = "native"
 
     def __post_init__(self):
+        sources = [np.asarray(v) for v in (self.csi, self.snr, self.pos)]
         with np.errstate(over="ignore"):   # a value float32 cannot hold becomes inf, rejected below
-            self.csi, self.snr, self.pos = (np.asarray(v, dtype=np.float32)
-                                            for v in (self.csi, self.snr, self.pos))
+            self.csi, self.snr, self.pos = (np.asarray(v, dtype=np.float32) for v in sources)
         if self.csi.ndim != 4 or self.csi.shape[1] != 2:
             raise DataFormatError(f"csi must be (N, 2, antennas, subcarriers), got {self.csi.shape}")
         n = self.csi.shape[0]
@@ -64,11 +70,14 @@ class Dataset:
             raise DataFormatError(f"snr shape {self.snr.shape} inconsistent with csi {self.csi.shape}")
         if self.pos.shape != (n, 3):
             raise DataFormatError(f"pos shape {self.pos.shape} inconsistent with {n} samples")
-        for name, arr in (("csi", self.csi), ("snr", self.snr), ("pos", self.pos)):
+        for name, arr, source in zip(("csi", "snr", "pos"), (self.csi, self.snr, self.pos), sources):
             # whole samples at a time: the bool temporary stays small whatever n is
             step = max(1, _FINITE_CHUNK // arr[0].size)
-            if not all(np.isfinite(arr[lo:lo + step]).all() for lo in range(0, n, step)):
-                raise DataFormatError(f"non-finite values in {name}")
+            for lo in range(0, n, step):
+                if not np.isfinite(arr[lo:lo + step]).all():
+                    if np.isfinite(source[lo:lo + step]).all():
+                        raise DataFormatError(f"values in {name} exceed float32's range")
+                    raise DataFormatError(f"non-finite values in {name}")
 
     def __len__(self):
         return self.csi.shape[0]
@@ -276,15 +285,20 @@ def channel_response(cfg: SynthConfig, positions, reflector_points=None, reflect
     if reflector_points is None:
         reflector_points = np.zeros((0, 3))
         reflector_gains = np.zeros(0, dtype=np.complex128)
+
+    def path(gain, length, out):
+        """One path's response, built in out: its phase, its exponential, then its gain."""
+        np.multiply(-2j * np.pi * freqs, (length / SPEED_OF_LIGHT)[:, :, None], out=out)
+        np.exp(out, out=out)
+        return np.multiply((gain / length)[:, :, None], out, out=out)
+
     d_los = np.linalg.norm(positions[:, None, :] - ants[None, :, :], axis=2)  # (N, A)
-    h = (1.0 / d_los)[:, :, None] * np.exp(
-        -2j * np.pi * freqs[None, None, :] * (d_los / SPEED_OF_LIGHT)[:, :, None])
+    h = path(1.0, d_los, np.empty(d_los.shape + freqs.shape, dtype=np.complex128))
+    buf = np.empty_like(h)   # each reflector's path in turn
     for point, gain in zip(reflector_points, reflector_gains):
         d_tx = np.linalg.norm(positions - point[None, :], axis=1)             # (N,)
         d_rx = np.linalg.norm(ants - point[None, :], axis=1)                  # (A,)
-        total = d_tx[:, None] + d_rx[None, :]
-        h += (gain / total)[:, :, None] * np.exp(
-            -2j * np.pi * freqs[None, None, :] * (total / SPEED_OF_LIGHT)[:, :, None])
+        h += path(gain, d_tx[:, None] + d_rx[None, :], buf)
     return h
 
 
@@ -314,10 +328,14 @@ def generate_synthetic(cfg: SynthConfig):
         h = channel_response(cfg, pos[start:stop], refl_points, refl_gains)
         p_sig = np.mean(np.abs(h) ** 2, axis=2)                               # (n, A)
         sigma2 = p_sig * 10.0 ** (-target_snr[start:stop, None] / 10.0)
-        noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        noise = np.empty_like(h)
+        noise.real = rng.standard_normal(h.shape)   # the real parts are drawn first
+        noise.imag = rng.standard_normal(h.shape)
         noise *= np.sqrt(sigma2 / 2.0)[:, :, None]
         p_noise = np.mean(np.abs(noise) ** 2, axis=2)
-        csi[start:stop] = h + noise
+        h += noise
+        csi[start:stop] = h
+        del h, noise   # freed before the next chunk's are made
         snr[start:stop] = 10.0 * np.log10(p_sig / p_noise)
     return Dataset(csi.view(np.float32).reshape(n, a, w, 2).transpose(0, 3, 1, 2), snr, pos)
 
@@ -335,11 +353,54 @@ class NormStats:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
+def _tree_sum(flat, fill):
+    """np.add.reduce of the float64 values fill(span, buf) writes for flat's spans, to the bit.
+
+    numpy sums a contiguous float64 run pairwise (Higham 1993): a run of more
+    than 128 values splits at half its length rounded down to a multiple of 8.
+    This walks that tree down to spans of at most _NORM_CHUNK values, fills
+    each into a buffer and reduces it there, and adds the partial sums up the
+    tree as numpy does. The root's two subtrees are two _fan_out tasks with a
+    buffer each, split across threads when each holds _SPLIT_FLOOR values.
+    """
+    def walk(lo, hi, buf):
+        if hi - lo <= _NORM_CHUNK:
+            return np.add.reduce(fill(flat[lo:hi], buf[:hi - lo]))
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return walk(lo, mid, buf) + walk(mid, hi, buf)
+
+    n = flat.size
+    if n <= _NORM_CHUNK:
+        return walk(0, n, np.empty(n))
+    mid = n // 2 // 8 * 8   # the smaller subtree
+    bufs, sums = np.empty((2, _NORM_CHUNK)), [0.0, 0.0]
+
+    def subtree(i, lo, hi):
+        sums[i] = walk(lo, hi, bufs[i])
+    split = _threads() > 1 and mid >= _SPLIT_FLOOR
+    _fan_out([partial(subtree, 0, 0, mid), partial(subtree, 1, mid, n)], 1 if split else 2)
+    return sums[0] + sums[1]
+
+
+def _mean_and_std(flat):
+    """flat.astype(np.float64).mean() and .std(), bit for bit, from one span at a time:
+    the mean, then the mean square deviation, each summed as numpy sums them."""
+    def values(span, buf):
+        buf[...] = span
+        return buf
+
+    def squared_deviations(span, buf):
+        np.subtract(span, mean, out=buf, dtype=np.float64)
+        return np.square(buf, out=buf)
+
+    mean = _tree_sum(flat, values) / flat.size
+    return mean, np.sqrt(_tree_sum(flat, squared_deviations) / flat.size)
+
+
 def fit_normalizer(train: Dataset) -> NormStats:
-    # ndarray.std() of the float64 values, centred and squared in place: one temporary
-    x = train.csi.astype(np.float64)
-    x -= x.mean(keepdims=True)
-    scale = float(np.sqrt(np.square(x, out=x).mean()))
+    # the order astype(np.float64) lays the values out in, and std() sums them in:
+    # a view for the container's, import's and gen's layouts
+    scale = float(_mean_and_std(train.csi.ravel(order="K"))[1])
     if scale == 0.0:
         raise ValueError("training CSI has zero variance; cannot normalize")
     return NormStats(scale)

@@ -395,7 +395,7 @@ class TestImport:
         assert run("import", "--csi", raw / "csi.npy", "--snr", raw / "snr.npy",
                    "--pos", raw / "pos.npy", "--out", out) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"csiloc import: non-finite values in {name}"]
+        assert lines == [f"csiloc import: values in {name} exceed float32's range"]
         assert not out.exists()
 
 

@@ -12,8 +12,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csiloc import cli
+from conftest import CountingPool, StalledPool
+from csiloc import cli, data, layers
 from csiloc.cli import main
 from csiloc.data import (Dataset, NormStats, SplitStrategy, SynthConfig, apply_normalizer,
                          export_npy, fit_normalizer, generate_synthetic, import_npy,
@@ -96,6 +98,90 @@ def test_normalizer_on_loaded_container(tmp_path):
     assert bits(apply_normalizer(loaded.csi, stats)) == bits(csi64 / stats.scale)
 
 
+LAYOUTS = ("container", "c_order", "subset", "strided", "flat")
+
+
+def csi_in_layout(size, layout, offset, seed):
+    """float32 CSI of size values in one layout a training set's CSI can have: the
+    container's transposed view, C order, a fancy-indexed subset or a strided slice
+    of the container's view (each (N, 2, A, W), so size is even), or a flat run."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 1) + offset).astype("<f4")
+    if layout == "flat":
+        return draw(size)
+    m = size // 2
+    a = 2 if m % 2 == 0 else 1
+    n = 2 if m // a % 2 == 0 else 1
+    w = m // (a * n)
+    if layout == "subset":
+        return draw(2 * n, a, w, 2).transpose(0, 3, 1, 2)[rng.permutation(2 * n)[:n]]
+    if layout == "strided":
+        return draw(n, a, 2 * w, 2)[:, :, ::2].transpose(0, 3, 1, 2)
+    csi = draw(n, a, w, 2).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(csi) if layout == "c_order" else csi
+
+
+@st.composite
+def normaliser_cases(draw):
+    chunk = draw(st.sampled_from([128, 136, 1000, data._NORM_CHUNK]))
+    layout = draw(st.sampled_from(LAYOUTS))
+    edges = [1, 7, 8, 127, 128, 129, chunk, 2 * chunk - 8, 2 * chunk + 8]
+    size = draw(st.sampled_from(edges) | st.integers(1, 3 * chunk))
+    if layout != "flat":
+        size = max(2, size + size % 2)
+    return chunk, layout, size, draw(st.floats(-8.0, 8.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(normaliser_cases())
+def test_normalizer_is_numpys_std_bit_for_bit(case):
+    """The chunked mean and scale are astype(np.float64).mean() and .std(), to the bit,
+    at the sizes where numpy's pairwise tree and the chunked walk split."""
+    chunk, layout, size, offset, seed = case
+    csi = csi_in_layout(size, layout, offset, seed)
+    assert csi.size == size
+    csi64 = csi.astype(np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_NORM_CHUNK", chunk)
+        mean, scale = data._mean_and_std(csi.ravel(order="K"))
+        assert (mean, scale) == (csi64.mean(), csi64.std())
+        if layout != "flat" and scale > 0:
+            n, _, a, _ = csi.shape
+            ds = Dataset(csi, np.zeros((n, a)), np.zeros((n, 3)))
+            assert fit_normalizer(ds).scale == float(csi64.std())
+
+
+def test_normalizer_bits_do_not_depend_on_threads(monkeypatch):
+    """The root's two subtrees go to two threads, and their sums combine as in one."""
+    ds = float32_dataset(40, 16, 128, seed=12, offset=0.5)   # 163,840 values, 2.5 chunks
+    scales = []
+    for threads in (1, 2, 3, 4):
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        monkeypatch.setenv("CSILOC_THREADS", str(threads))
+        scales.append(fit_normalizer(ds).scale)
+        assert pool.submits == (0 if threads == 1 else 2), threads   # one a pass
+    monkeypatch.setattr(layers, "_POOL", StalledPool())
+    scales.append(fit_normalizer(ds).scale)
+    assert {scale.hex() for scale in scales} == {float(ds.csi.astype(np.float64).std()).hex()}
+
+
+def test_normalizer_memory_does_not_grow_with_n():
+    """fit_normalizer holds two chunk buffers, whatever the size of the training set."""
+    peaks = []
+    for n in (20, 320):   # 2.5 and 40 chunks of CSI values
+        ds = float32_dataset(n, 16, 256, seed=n)
+        tracemalloc.start()
+        try:
+            fit_normalizer(ds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < data._NORM_CHUNK * 8, peaks
+
+
 @pytest.mark.parametrize("kind,arch", [("linear", {}),
                                        ("cnn4", {"base_filters": 2, "kernel": 3, "stride": 2,
                                                  "head_units": 8})])
@@ -148,6 +234,16 @@ def test_gen_memory_slope(tmp_path):
     assert peaks[1] - peaks[0] <= 1.25 * (sizes[1] - sizes[0])
 
 
+def test_gen_memory(tmp_path):
+    """gen holds the float32 CSI and, per 256-sample chunk, the channel response
+    with one more complex128 array (a path, or the noise and one of its parts)."""
+    out = tmp_path / "g"
+    peak = traced_peak(["gen", "--out", str(out), "--samples", "512", "--subcarriers", "128",
+                        "--seed", "5"])
+    chunk_bytes = 256 * 16 * 128 * np.dtype(np.complex128).itemsize
+    assert peak < (out / "csi.f32").stat().st_size + 3 * chunk_bytes
+
+
 def test_split_memory(tmp_path, container):
     peak = traced_peak(["split", "--data", str(container), "--kind", "random",
                         "--out", str(tmp_path / "s")])
@@ -160,6 +256,14 @@ def test_train_memory(tmp_path, container):
                         "--max-epochs", "1", "--out", str(tmp_path / "m")])
     # the read float32 bytes and fit_normalizer's float64 temporary
     assert peak < 4.5 * (container / "csi.f32").stat().st_size
+
+
+def test_train_memory_whole_run(tmp_path, container):
+    peak = traced_peak(["train", "--train", str(container), "--model", "linear",
+                        "--max-epochs", "1", "--out", str(tmp_path / "m")])
+    # the read float32 bytes, the float32 monitor rows and one float64 batch or
+    # chunk at a time; fit_normalizer converts one span at a time
+    assert peak <= 1.5 * (container / "csi.f32").stat().st_size
 
 
 def test_train_memory_after_fit(tmp_path, container, monkeypatch):

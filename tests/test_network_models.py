@@ -156,8 +156,8 @@ class TestBuilders:
 
 
 def test_no_import_inside_a_function():
-    """models, network and train import each other at module level only, so no
-    import cycle is hidden inside a function."""
+    """Every src/csiloc module imports at module level only, so no import cycle
+    is hidden inside a function."""
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(models.__file__).parent.glob("*.py"))
              for fn in ast.walk(ast.parse(path.read_text()))
