@@ -2,7 +2,7 @@
 
 Trains the width-adapted four-conv model for a few epochs against the linear
 baseline and emits the report files (error CDF, per-axis histograms, quiver
-offsets, summary.json) under out/reports/. Takes on the order of a minute;
+offsets, summary.json) under out/reports/. Takes about 4 s on two cores;
 raise EPOCHS for a result closer to the acceptance-grade run.
 """
 

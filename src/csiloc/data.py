@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsilocError, DataFormatError, DegenerateGeometryError
-from .layers import _SPLIT_FLOOR, _fan_out, _threads
+from .layers import _fan_out, _parts
 from .npyio import read_npy, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -61,8 +61,8 @@ class Dataset:
         sources = [np.asarray(v) for v in (self.csi, self.snr, self.pos)]
         with np.errstate(over="ignore"):   # a value float32 cannot hold becomes inf, rejected below
             self.csi, self.snr, self.pos = (np.asarray(v, dtype=np.float32) for v in sources)
-        if self.csi.ndim != 4 or self.csi.shape[1] != 2:
-            raise DataFormatError(f"csi must be (N, 2, antennas, subcarriers), got {self.csi.shape}")
+        if self.csi.ndim != 4 or self.csi.shape[1] != 2 or 0 in self.csi.shape[2:]:
+            raise DataFormatError(f"csi must be (N, 2, antennas, subcarriers), both > 0, got {self.csi.shape}")
         n = self.csi.shape[0]
         if n < 1:
             raise DataFormatError("dataset must be nonempty")
@@ -156,7 +156,8 @@ def load_canonical(directory) -> Dataset:
         raise DataFormatError(f"{meta_path}: unsupported format_version {meta['format_version']}")
     for key, types in _META_TYPES.items():
         value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, types) or (types is int and value < 0):
+        if (isinstance(value, bool) or not isinstance(value, types)   # a number is finite, >= 0
+                or types is not str and not 0 <= value <= sys.float_info.max):
             raise DataFormatError(f"{meta_path}: field {key!r} has a wrong type or value: {value!r}")
     n, a, w = meta["n"], meta["antennas"], meta["subcarriers"]
 
@@ -361,7 +362,7 @@ def _tree_sum(flat, fill):
     This walks that tree down to spans of at most _NORM_CHUNK values, fills
     each into a buffer and reduces it there, and adds the partial sums up the
     tree as numpy does. The root's two subtrees are two _fan_out tasks with a
-    buffer each, split across threads when each holds _SPLIT_FLOOR values.
+    buffer each, run on two threads when _parts gives each its own thread.
     """
     def walk(lo, hi, buf):
         if hi - lo <= _NORM_CHUNK:
@@ -377,8 +378,8 @@ def _tree_sum(flat, fill):
 
     def subtree(i, lo, hi):
         sums[i] = walk(lo, hi, bufs[i])
-    split = _threads() > 1 and mid >= _SPLIT_FLOOR
-    _fan_out([partial(subtree, 0, 0, mid), partial(subtree, 1, mid, n)], 1 if split else 2)
+    _fan_out([partial(subtree, 0, 0, mid), partial(subtree, 1, mid, n)],
+             1 if len(_parts(2, mid)) > 1 else 2)
     return sums[0] + sums[1]
 
 

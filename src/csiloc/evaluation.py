@@ -75,11 +75,12 @@ class EvalReport:
 def predict(net, x, norm):
     """Position estimates for raw CSI, divided by norm's scale and forwarded in
     fixed-size chunks, so only the chunks in flight are float64. The chunks are
-    split into up to CSILOC_THREADS parts whose convs get a share of the threads.
-    A lone part runs on the caller; else pool threads run them all while the
-    caller waits, so a profiler that parents a pool thread's calls to the call
-    open on the caller sees them in predict's. Every chunk writes its own rows:
-    the estimates do not depend on the split.
+    split into up to CSILOC_THREADS parts. A lone part runs on the caller, and
+    its convs split across the threads. Else pool threads run every part, each
+    on its own thread alone, while the caller waits, so a profiler that parents
+    a pool thread's calls to the call open on the caller sees them in
+    predict's. Every chunk writes its own rows: the estimates do not depend on
+    the split.
     """
     out = np.empty((len(x),) + net.output_shape)
 

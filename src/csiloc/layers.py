@@ -20,8 +20,8 @@ to rounding. On two threads the caller runs every tap's weight product while a
 pool thread runs every tap's input product, in tap order, so each gradient
 gets the serial bits. The dense backward runs its two products the same way.
 All parallel work, evaluation's chunks included, goes through _fan_out on the
-one pool, _POOL, of one thread per core. Each task gets an equal share of its
-caller's threads and writes only into buffers its caller allocated.
+one pool, _POOL, of one thread per core. A pool thread runs its task alone,
+with a budget of one thread, and writes only into buffers its caller allocated.
 
 Layers keep no per-call state. `forward(x, tape)` pushes what its backward
 needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
@@ -46,16 +46,17 @@ DTYPE = np.float64
 # work is split only while each part holds this many output elements; below
 # it, handing a part to another thread costs more than it saves
 _SPLIT_FLOOR = 1 << 15
-# _fan_out's threads, one per core; no deadlock, since no pool task waits on an unstarted one
-_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1, thread_name_prefix="csiloc-pool")
-_SHARE = threading.local()
+# _fan_out's threads, one per core. Each is marked when it starts, and _threads() is 1 on
+# it: its splits have one part, run by itself, so it never waits on an unstarted task
+_ON_POOL = threading.local()
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1, thread_name_prefix="csiloc-pool",
+                           initializer=partial(setattr, _ON_POOL, "marked", True))
 
 
 def _threads():
-    """Threads this thread may run: its task's share from _fan_out, else CSILOC_THREADS, else the CPU count."""
-    share = getattr(_SHARE, "threads", None)
-    if share is not None:
-        return share
+    """Threads this thread may run: 1 on a pool thread, else CSILOC_THREADS, else the CPU count."""
+    if getattr(_ON_POOL, "marked", False):
+        return 1
     cap = os.environ.get("CSILOC_THREADS", "").strip() or str(os.cpu_count() or 1)
     if not cap.isdecimal() or int(cap) < 1:
         raise CsilocError(f"CSILOC_THREADS must be a positive integer, got {cap!r}")
@@ -71,29 +72,17 @@ def _parts(n, unit=1):
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_share(task, threads):
-    """Run task with _threads() at threads on this thread, then restore its value."""
-    outer = getattr(_SHARE, "threads", None)
-    _SHARE.threads = threads
-    try:
-        task()
-    finally:
-        _SHARE.threads = outer
-
-
 def _fan_out(tasks, on_caller=1):
     """Run the callables in tasks: the caller runs the first on_caller of them,
     in order, while _POOL runs the rest.
 
-    Each task runs with _threads() at an equal share of the caller's. A pool
-    task that no pool thread has started when the caller is done is cancelled
-    and run by the caller, so a busy core costs no wait; a caller that runs
-    none only waits, so it must not be a pool task. A task writes only into
-    buffers the caller allocated: a large allocation on a pool thread grows
-    that thread's own malloc arena.
+    A pool task that no pool thread has started when the caller is done is
+    cancelled and run by the caller, so a busy core costs no wait; a caller
+    that runs none only waits. A task on a pool thread runs with _threads() at
+    1, so it splits nothing further. A task writes only into buffers the
+    caller allocated: a large allocation on a pool thread grows that thread's
+    own malloc arena.
     """
-    share = max(1, _threads() // len(tasks))
-    tasks = [partial(_run_share, task, share) for task in tasks]
     futures = [_POOL.submit(task) for task in tasks[on_caller:]]
     for task in tasks[:on_caller]:
         task()

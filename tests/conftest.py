@@ -8,6 +8,7 @@ products match it to rounding, and its bias gradient bit for bit.
 """
 
 import json
+import threading
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -134,14 +135,17 @@ def pytest_terminal_summary(terminalreporter):
 
 
 class CountingPool:
-    """Stands in for layers._POOL and counts the tasks handed to it."""
+    """Stands in for layers._POOL, counts the tasks handed to it and names the
+    thread that handed over each."""
 
     def __init__(self, pool):
         self.pool = pool
         self.submits = 0
+        self.submitters = []
 
     def submit(self, *args):
         self.submits += 1
+        self.submitters.append(threading.current_thread().name)
         return self.pool.submit(*args)
 
 

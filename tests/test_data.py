@@ -16,6 +16,7 @@ from csiloc.data import (CANONICAL_FILES, Dataset, NormStats, SplitStrategy, Syn
                          write_canonical, SPEED_OF_LIGHT, SYNTH_X_RANGE, SYNTH_Y_RANGE,
                          SYNTH_Z_RANGE)
 from csiloc.errors import DataFormatError, DegenerateGeometryError
+from csiloc.models import build_model, save_checkpoint
 
 
 def tiny_dataset(n=3, a=2, w=8, seed=0):
@@ -126,7 +127,11 @@ class TestCanonicalContainer:
 
     @pytest.mark.parametrize("edit", [{"n": None}, {"antennas": [16]}, {"n": "six"}, {"fc_hz": "x"},
                                       5, {"n": 6.7}, {"n": True}, {"n": -6, "antennas": -2},
-                                      {"bandwidth_hz": None}, {"frame": 3}])
+                                      {"bandwidth_hz": None}, {"frame": 3},
+                                      # split would write a NaN or infinite band field as invalid JSON
+                                      {"fc_hz": float("nan")}, {"fc_hz": float("inf")}, {"fc_hz": -1.25e9},
+                                      {"bandwidth_hz": float("nan")}, {"bandwidth_hz": float("-inf")},
+                                      {"bandwidth_hz": -20e6}])
     def test_malformed_meta_typed(self, tmp_path, capsys, edit):
         write_canonical(tmp_path / "d", tiny_dataset(n=6))
         meta_path = tmp_path / "d" / "meta.json"
@@ -137,6 +142,26 @@ class TestCanonicalContainer:
         argv = ["split", "--data", str(tmp_path / "d"), "--kind", "random", "--out", str(tmp_path / "s")]
         assert main(argv) == 1
         assert "csiloc split:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["antennas", "subcarriers"])
+    @pytest.mark.parametrize("command", ["split", "train", "eval"])
+    def test_zero_size_samples(self, tmp_path, capsys, field, command):
+        """A container whose samples hold no antenna or no subcarrier, with blobs of the
+        matching empty size, fails with one csiloc line and no traceback."""
+        write_canonical(tmp_path / "d", tiny_dataset(n=6))
+        meta_path = tmp_path / "d" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), field: 0}))
+        for name in ("csi.f32", "snr.f32") if field == "antennas" else ("csi.f32",):
+            (tmp_path / "d" / name).write_bytes(b"")
+        with pytest.raises(DataFormatError, match="both > 0"):
+            load_canonical(tmp_path / "d")
+        data, ckpt = str(tmp_path / "d"), str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, build_model("linear", {}, (2, 2, 8)), norm_scale=1.0)
+        args = {"split": ["--data", data, "--kind", "random"], "train": ["--train", data, "--model", "linear"],
+                "eval": ["--eval", data, "--checkpoint", ckpt]}[command]
+        assert main([command, *args, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"csiloc {command}: csi must be"), err
 
     def test_non_finite_on_disk(self, tmp_path):
         ds = tiny_dataset()

@@ -277,7 +277,8 @@ def desk_cnn4r():
 
 
 class TestThreadBudget:
-    """predict's chunk tasks and the conv forwards inside them share CSILOC_THREADS."""
+    """predict splits its chunks, or a lone chunk's convs, over CSILOC_THREADS; a pool
+    thread runs its chunk task alone, on one thread."""
 
     def test_chunk_workers_split_no_conv(self, monkeypatch):
         net = desk_cnn4r()   # its block-1 convs split a 256-sample chunk on two threads
@@ -307,22 +308,21 @@ class TestThreadBudget:
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
         assert len(threads) == 3 and threading.get_ident() not in threads
 
-    def test_chunk_tasks_split_their_share(self, monkeypatch):
-        """At four threads, each of two chunk tasks gets two: its block-1 convs split
-        as a lone chunk's do at two threads."""
+    def test_chunk_tasks_split_nothing(self, monkeypatch):
+        """At four threads a lone chunk's convs split, but each of two chunk tasks runs
+        alone on its pool thread: the two tasks are the only submits."""
         net = desk_cnn4r()
         x = np.random.default_rng(34).standard_normal((2 * 256,) + net.input_shape)  # two full chunks
         monkeypatch.setenv("CSILOC_THREADS", "1")
         serial = predict(net, x, NormStats(2.0))
         pool = CountingPool(layers._POOL)
         monkeypatch.setattr(layers, "_POOL", pool)
-        monkeypatch.setenv("CSILOC_THREADS", "2")
-        predict(net, x[:256], NormStats(2.0))
-        per_chunk, pool.submits = pool.submits, 0   # a lone chunk runs on the caller
-        assert per_chunk > 1
         monkeypatch.setenv("CSILOC_THREADS", "4")
+        npt.assert_array_equal(predict(net, x[:256], NormStats(2.0)), serial[:256])
+        assert pool.submits > 1   # a lone chunk runs on the caller, and its convs split
+        pool.submits = 0
         npt.assert_array_equal(predict(net, x, NormStats(2.0)), serial)
-        assert pool.submits == 2 + 2 * per_chunk   # the two chunk tasks, then each task's conv splits
+        assert pool.submits == 2
 
     def test_eval_process_exits(self, tmp_path):
         """A pool thread left running would keep csiloc eval's interpreter alive."""

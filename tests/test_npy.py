@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, import_npy, SynthConfig
 from csiloc.errors import DataFormatError
 from csiloc.npyio import SUPPORTED_DESCRS, read_npy, write_npy
@@ -234,3 +235,17 @@ class TestRoundTrips:
         write_npy(tmp_path / "pos.npy", np.ones((2, 3), "<f4"))
         with pytest.raises(DataFormatError, match="complex csi"):
             import_npy(tmp_path / "csi.npy", tmp_path / "snr.npy", tmp_path / "pos.npy")
+
+    @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 1, 0)])
+    def test_zero_size_csi(self, tmp_path, capsys, shape):
+        """csi with no antenna or no subcarrier fails import with one csiloc line and no traceback."""
+        write_npy(tmp_path / "csi.npy", np.zeros(shape, "<c8"))
+        write_npy(tmp_path / "snr.npy", np.zeros(shape[:2], "<f4"))
+        write_npy(tmp_path / "pos.npy", np.ones((2, 3), "<f4"))
+        with pytest.raises(DataFormatError, match="both > 0"):
+            import_npy(tmp_path / "csi.npy", tmp_path / "snr.npy", tmp_path / "pos.npy")
+        assert main(["import", *[f"--{k}={tmp_path / k}.npy" for k in ("csi", "snr", "pos")],
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("csiloc import: csi must be"), err
+        assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from csiloc import layers
-from csiloc.data import Dataset, NormStats
+from csiloc.data import Dataset, NormStats, fit_normalizer
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.evaluation import predict
 from csiloc.layers import Param
@@ -386,12 +386,9 @@ def test_split_training_is_bitwise(monkeypatch, kind):
     assert runs["1"][2] == runs["2"][2]
 
 
-def test_pool_holds_one_thread_per_core(monkeypatch):
-    """Six desk cnn4r steps and a three-chunk predict at two threads leave no pool
-    thread beyond one per core."""
-    monkeypatch.setenv("CSILOC_THREADS", "2")
+def desk_cnn4r_steps(rng):
+    """A desk cnn4r after six batch-32 training steps on random data."""
     net = build_model("cnn4r", desk_arch(), (2, 16, 64))
-    rng = np.random.default_rng(72)
     for _ in range(6):
         net.zero_grads()
         tape = []
@@ -399,6 +396,34 @@ def test_pool_holds_one_thread_per_core(monkeypatch):
                            rng.standard_normal((32, 3)))
         net.backward(grad, tape)
         sgd_momentum_step(net.params(), lr=1e-3, momentum=0.9)
+    return net
+
+
+def test_pool_holds_one_thread_per_core(monkeypatch):
+    """Six desk cnn4r steps and a three-chunk predict at two threads leave no pool
+    thread beyond one per core."""
+    monkeypatch.setenv("CSILOC_THREADS", "2")
+    rng = np.random.default_rng(72)
+    net = desk_cnn4r_steps(rng)
     predict(net, rng.standard_normal((2 * 256 + 1,) + net.input_shape), NormStats(1.0))
     pool_threads = [t for t in threading.enumerate() if t.name.startswith("csiloc-pool")]
     assert 0 < len(pool_threads) <= (os.cpu_count() or 1)
+
+
+def test_no_submit_from_a_pool_thread(monkeypatch):
+    """A pool thread runs its task alone, so only callers hand work to the pool: in
+    training steps at two threads, a two-chunk predict at four, and the normaliser's fit."""
+    pool = CountingPool(layers._POOL)
+    monkeypatch.setattr(layers, "_POOL", pool)
+    monkeypatch.setenv("CSILOC_THREADS", "2")
+    rng = np.random.default_rng(73)
+    net = desk_cnn4r_steps(rng)
+    submits = [pool.submits]
+    monkeypatch.setenv("CSILOC_THREADS", "4")
+    predict(net, rng.standard_normal((2 * 256,) + net.input_shape), NormStats(1.0))
+    submits.append(pool.submits)
+    monkeypatch.setenv("CSILOC_THREADS", "2")
+    fit_normalizer(Dataset(rng.standard_normal((40, 2, 16, 128)), np.zeros((40, 16)), np.zeros((40, 3))))
+    submits.append(pool.submits)
+    assert 0 < submits[0] < submits[1] < submits[2]   # each part submits
+    assert [name for name in pool.submitters if name.startswith("csiloc-pool")] == []
