@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (CANONICAL_FILES, SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig,
+from .data import (CANONICAL_OUTPUTS, SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig,
                    fit_normalizer, generate_synthetic, import_npy, load_canonical, make_output_dir,
                    split, write_canonical)
 from .errors import CsilocError
@@ -120,7 +120,7 @@ def cmd_gen(args):
     cfg = SynthConfig(num_samples=args.samples, num_subcarriers=args.subcarriers,
                       num_reflectors=args.reflectors, seed=args.seed,
                       snr_db_range=(args.snr_low, args.snr_high))
-    _check_output_names(args.out, CANONICAL_FILES)
+    _check_output_names(args.out, CANONICAL_OUTPUTS)
     ds = generate_synthetic(cfg)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "gen", {**asdict(cfg), "out": str(args.out)}, started)
@@ -130,7 +130,7 @@ def cmd_gen(args):
 
 def cmd_import(args):
     started = _utc_now()
-    _check_output_names(args.out, CANONICAL_FILES)
+    _check_output_names(args.out, CANONICAL_OUTPUTS)
     ds = import_npy(args.csi, args.snr, args.pos)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "import", {"csi": str(args.csi), "snr": str(args.snr),
@@ -142,7 +142,7 @@ def cmd_import(args):
 def cmd_split(args):
     started = _utc_now()
     out = Path(args.out)
-    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_FILES])
+    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_OUTPUTS])
     ds = load_canonical(args.data)
     strat = SplitStrategy(args.kind, args.fraction, args.seed)
     train_ds, eval_ds = split(ds, strat)

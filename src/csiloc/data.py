@@ -4,11 +4,11 @@ generation, normalization and the four train/evaluation split geometries.
 A dataset is a batch of labeled fingerprints: CSI as (N, 2, A, W) (Re/Im
 channels first, A antennas, W subcarriers), per-antenna SNR in dB, and 3-D
 transmitter positions in meters in the dataset's native frame. All three are
-float32, the values the container holds: read ones are views of the bytes
-read, and anything else is rounded once, when the Dataset is made. Float64
-exists only in computation: apply_normalizer makes each batch or chunk that
-enters the network float64, and fit_normalizer converts _NORM_CHUNK values at
-a time.
+float32, the values the container holds: read ones are views of read-only
+mappings of the files, and anything else is rounded once, when the Dataset is
+made. Float64 exists only in computation: apply_normalizer makes each batch or
+chunk that enters the network float64, and fit_normalizer converts
+_NORM_CHUNK values at a time.
 """
 
 import json
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CsilocError, DataFormatError, DegenerateGeometryError
 from .layers import _fan_out, _parts
-from .npyio import read_npy, write_npy
+from .npyio import map_readonly, read_npy, replace_file, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -114,6 +114,8 @@ def make_output_dir(directory):
 
 
 CANONICAL_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
+# every name write_canonical writes: each blob goes to <name>.tmp first, then is renamed
+CANONICAL_OUTPUTS = (*CANONICAL_FILES, *(f"{name}.tmp" for name in CANONICAL_FILES[1:]))
 
 
 def write_canonical(directory, ds: Dataset):
@@ -131,7 +133,8 @@ def write_canonical(directory, ds: Dataset):
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     # loaded, imported, generated or split CSI transposes back to its own contiguous bytes: no copy
     for path, arr in zip(blob_paths, (ds.csi.transpose(0, 2, 3, 1), ds.snr, ds.pos)):
-        np.ascontiguousarray(arr, dtype="<f4").tofile(path)
+        with replace_file(path) as f:
+            np.ascontiguousarray(arr, dtype="<f4").tofile(f)
 
 
 _META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": (int, float),
@@ -161,19 +164,19 @@ def load_canonical(directory) -> Dataset:
             raise DataFormatError(f"{meta_path}: field {key!r} has a wrong type or value: {value!r}")
     n, a, w = meta["n"], meta["antennas"], meta["subcarriers"]
 
-    def read_exact(name, count):
+    def mapped(name, count):
         path = directory / name
         if not path.is_file():
             raise DataFormatError(f"{directory}: missing {name}")
-        blob = path.read_bytes()
-        if len(blob) != count * 4:
+        size = path.stat().st_size
+        if size != count * 4:
             raise DataFormatError(
-                f"{path}: size mismatch: meta.json implies {count * 4} bytes, file holds {len(blob)}")
-        return np.frombuffer(blob, dtype="<f4")
+                f"{path}: size mismatch: meta.json implies {count * 4} bytes, file holds {size}")
+        return map_readonly(path, "<f4", count)
 
-    csi = read_exact("csi.f32", n * a * w * 2).reshape(n, a, w, 2).transpose(0, 3, 1, 2)
-    snr = read_exact("snr.f32", n * a).reshape(n, a)
-    pos = read_exact("pos.f32", n * 3).reshape(n, 3)
+    csi = mapped("csi.f32", n * a * w * 2).reshape(n, a, w, 2).transpose(0, 3, 1, 2)
+    snr = mapped("snr.f32", n * a).reshape(n, a)
+    pos = mapped("pos.f32", n * 3).reshape(n, 3)
     return Dataset(csi, snr, pos, fc_hz=float(meta["fc_hz"]),
                    bandwidth_hz=float(meta["bandwidth_hz"]), frame=meta["frame"])
 
@@ -364,23 +367,26 @@ def _tree_sum(flat, fill):
     tree as numpy does. The root's two subtrees are two _fan_out tasks with a
     buffer each, run on two threads when _parts gives each its own thread.
     """
-    def walk(lo, hi, buf):
-        if hi - lo <= _NORM_CHUNK:
-            return np.add.reduce(fill(flat[lo:hi], buf[:hi - lo]))
-        mid = lo + (hi - lo) // 2 // 8 * 8
-        return walk(lo, mid, buf) + walk(mid, hi, buf)
-
     n = flat.size
     if n <= _NORM_CHUNK:
-        return walk(0, n, np.empty(n))
+        return _walk(flat, fill, 0, n, np.empty(n))
     mid = n // 2 // 8 * 8   # the smaller subtree
     bufs, sums = np.empty((2, _NORM_CHUNK)), [0.0, 0.0]
 
     def subtree(i, lo, hi):
-        sums[i] = walk(lo, hi, bufs[i])
+        sums[i] = _walk(flat, fill, lo, hi, bufs[i])
     _fan_out([partial(subtree, 0, 0, mid), partial(subtree, 1, mid, n)],
              1 if len(_parts(2, mid)) > 1 else 2)
     return sums[0] + sums[1]
+
+
+def _walk(flat, fill, lo, hi, buf):
+    """_tree_sum's node [lo, hi): a function of the module, not a closure that calls
+    itself, whose reference cycle would keep flat alive until the cyclic GC ran."""
+    if hi - lo <= _NORM_CHUNK:
+        return np.add.reduce(fill(flat[lo:hi], buf[:hi - lo]))
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    return _walk(flat, fill, lo, mid, buf) + _walk(flat, fill, mid, hi, buf)
 
 
 def _mean_and_std(flat):

@@ -28,6 +28,7 @@ from .data import round_half_up
 from .errors import CheckpointError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit, conv_out_width
 from .network import Network, count_weights
+from .npyio import replace_file
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
 
@@ -241,19 +242,13 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
         "norm_scale": None if norm_scale is None else float(norm_scale),
         "meta": meta or {},
     }
-    # write beside the target, then rename: a failed or killed write leaves the old file whole
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-            f.write(b"\n")
-            for p in net.params():
-                f.write(struct.pack("<Q", p.size))
-                f.write(np.ascontiguousarray(p.value, dtype="<f8"))  # the buffer, not a bytes copy
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replace_file(path) as f:   # a failed or killed write leaves the old file whole
+        f.write(CHECKPOINT_MAGIC)
+        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        f.write(b"\n")
+        for p in net.params():
+            f.write(struct.pack("<Q", p.size))
+            f.write(np.ascontiguousarray(p.value, dtype="<f8"))  # the buffer, not a bytes copy
 
 
 def load_checkpoint(path):

@@ -1,16 +1,24 @@
-"""Minimal NPY v1.0 reader/writer over numpy.lib.format.
+"""Minimal NPY v1.0 reader/writer over numpy.lib.format, and the two rules
+every reader and writer of bulk data in csiloc follows.
 
 Only the subset this pipeline exchanges is supported: C-order arrays of
 little-endian float32, float64 or complex64. Anything else (v2.0 headers,
 Fortran order, other dtypes) is rejected with a specific message rather
 than silently coerced. numpy.lib.format reads and writes the magic string
 and the header; the checks on what a header declares are this module's.
+
+Bulk inputs are mapped read-only, not read (map_readonly). A read past the
+end of a mapped file truncated under it kills the process (SIGBUS), so every
+output is written beside its target and renamed over it (replace_file): a
+mapping of the old file keeps the old inode and its bytes.
 """
 
-import io
 import math
+import os
 import tokenize
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -20,16 +28,61 @@ from .errors import DataFormatError
 SUPPORTED_DESCRS = ("<f4", "<f8", "<c8")
 
 
+def map_readonly(path, dtype, count, offset=0):
+    """count values of dtype at byte offset of path, which the caller has checked holds
+    them, as a read-only np.memmap; none is made for count 0 (mmap refuses an empty file)."""
+    if count == 0:
+        return np.frombuffer(b"", dtype=dtype)
+    try:
+        return np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
+    except OSError as e:
+        raise DataFormatError(f"{path}: cannot map: {e.strerror or e}") from e
+
+
+@contextmanager
+def replace_file(path):
+    """A binary file, f"{path}.tmp", renamed over path when the block ends without error:
+    a failed or killed write leaves the old file whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def read_npy(path):
-    """The file's array as a read-only view of the bytes read (no copy)."""
+    """The file's array as a read-only mapping of its payload: only the header is read."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            shape, fortran, dtype = _read_header(path, f)
+            offset, size = f.tell(), os.fstat(f.fileno()).st_size
     except OSError as e:
         raise DataFormatError(f"{path}: cannot read: {e.strerror or e}") from e
-    stream = io.BytesIO(blob)
+    if fortran:
+        raise DataFormatError(f"{path}: fortran_order NPY arrays are not supported (need C order)")
+    if dtype.str not in SUPPORTED_DESCRS:
+        raise DataFormatError(
+            f"{path}: unsupported NPY dtype {dtype.str!r}; expected one of {SUPPORTED_DESCRS}")
+    # numpy lets booleans and negative values through as dimensions
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape):
+        raise DataFormatError(f"{path}: malformed NPY shape {shape!r}")
+    count = math.prod(shape)
+    expected = count * dtype.itemsize
+    if size - offset != expected:
+        raise DataFormatError(f"{path}: NPY data size mismatch: header declares {expected} "
+                              f"bytes, file holds {size - offset}")
     try:
-        version = npy_format.read_magic(stream)
+        return map_readonly(path, dtype, count, offset).reshape(shape)
+    except ValueError as e:  # over 64 dimensions, or a dimension numpy cannot index
+        raise DataFormatError(f"{path}: malformed NPY shape {shape!r}: {e}") from e
+
+
+def _read_header(path, f):
+    """(shape, fortran_order, dtype) of the NPY v1.0 header at the start of f."""
+    try:
+        version = npy_format.read_magic(f)
     except ValueError as e:
         raise DataFormatError(f"{path}: not an NPY file: {e}") from e
     if version != (1, 0):
@@ -42,26 +95,9 @@ def read_npy(path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             warnings.simplefilter("error", SyntaxWarning)
-            shape, fortran, dtype = npy_format.read_array_header_1_0(stream)
+            return npy_format.read_array_header_1_0(f)
     except (ValueError, TypeError, SyntaxError, RecursionError, tokenize.TokenError, Warning) as e:
         raise DataFormatError(f"{path}: malformed NPY header: {e}") from e
-    if fortran:
-        raise DataFormatError(f"{path}: fortran_order NPY arrays are not supported (need C order)")
-    if dtype.str not in SUPPORTED_DESCRS:
-        raise DataFormatError(
-            f"{path}: unsupported NPY dtype {dtype.str!r}; expected one of {SUPPORTED_DESCRS}")
-    # numpy lets booleans and negative values through as dimensions
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape):
-        raise DataFormatError(f"{path}: malformed NPY shape {shape!r}")
-    offset = stream.tell()
-    expected = math.prod(shape) * dtype.itemsize
-    if len(blob) - offset != expected:
-        raise DataFormatError(f"{path}: NPY data size mismatch: header declares {expected} "
-                              f"bytes, file holds {len(blob) - offset}")
-    try:
-        return np.frombuffer(blob, dtype=dtype, offset=offset).reshape(shape)
-    except ValueError as e:  # over 64 dimensions, or a dimension numpy cannot index
-        raise DataFormatError(f"{path}: malformed NPY shape {shape!r}: {e}") from e
 
 
 def write_npy(path, arr):
@@ -69,5 +105,5 @@ def write_npy(path, arr):
     descr = arr.dtype.newbyteorder("<").str
     if descr not in SUPPORTED_DESCRS:
         raise DataFormatError(f"cannot write dtype {arr.dtype}; expected one of {SUPPORTED_DESCRS}")
-    with open(path, "wb") as f:
+    with replace_file(path) as f:
         npy_format.write_array(f, arr.astype(descr, copy=False), version=(1, 0), allow_pickle=False)

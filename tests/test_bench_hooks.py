@@ -8,6 +8,8 @@ would otherwise only show when the benchmark runs with --trace 1.
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,13 @@ def load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_selftest_passes():
+    """The harness's own self-test, which runs the pipeline at tiny sizes under its tracer."""
+    done = subprocess.run([sys.executable, str(SPANS.parent / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and "selftest: OK" in done.stdout, done.stdout + done.stderr
 
 
 def test_instrument_and_undo():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import tracemalloc
 from dataclasses import asdict
 
@@ -91,6 +92,19 @@ class TestSplit:
         run("split", "--data", data, "--kind", "random", "--seed", "9", "--out", out2)
         for name in DATA_FILES:
             assert (out1 / "eval" / name).read_bytes() == (out2 / "eval" / name).read_bytes()
+
+    def test_split_into_its_own_parent(self, tmp_path):
+        """split --data P/train --out P replaces the files it reads: the bytes of splitting a copy."""
+        data = gen_small(tmp_path, samples=80)
+        parent, copy, expected = tmp_path / "p", tmp_path / "copy", tmp_path / "q"
+        assert run("split", "--data", data, "--kind", "random", "--out", parent) == 0
+        shutil.copytree(parent / "train", copy)
+        assert run("split", "--data", copy, "--kind", "narrow", "--out", expected) == 0
+        assert run("split", "--data", parent / "train", "--kind", "narrow", "--out", parent) == 0
+        for sub in ("train", "eval"):
+            assert sorted(p.name for p in (parent / sub).iterdir()) == sorted(DATA_FILES)
+            for name in DATA_FILES:
+                assert (parent / sub / name).read_bytes() == (expected / sub / name).read_bytes()
 
     def test_unknown_kind_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -456,8 +470,9 @@ class TestPathInputs:
 
     # a name each command writes inside its --out, made a directory beforehand
     @pytest.mark.parametrize("command, name", [
-        ("gen", "meta.json"), ("gen", "manifest.json"), ("gen", "csi.f32"), ("import", "pos.f32"),
-        ("import", "manifest.json"), ("split", "train/meta.json"), ("split", "eval/snr.f32"),
+        ("gen", "meta.json"), ("gen", "manifest.json"), ("gen", "csi.f32"), ("gen", "csi.f32.tmp"),
+        ("import", "pos.f32"), ("import", "manifest.json"), ("import", "snr.f32.tmp"),
+        ("split", "train/meta.json"), ("split", "eval/snr.f32"), ("split", "train/pos.f32.tmp"),
         ("split", "manifest.json"), ("train", "model.ckpt"), ("train", "model.ckpt.tmp"),
         ("train", "history.csv"), ("train", "manifest.json"), ("eval", "cdf.csv"),
         ("eval", "summary.json"), ("eval", "manifest.json")])

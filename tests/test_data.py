@@ -1,6 +1,13 @@
+import errno
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +24,8 @@ from csiloc.data import (CANONICAL_FILES, Dataset, NormStats, SplitStrategy, Syn
                          SYNTH_Z_RANGE)
 from csiloc.errors import DataFormatError, DegenerateGeometryError
 from csiloc.models import build_model, save_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_dataset(n=3, a=2, w=8, seed=0):
@@ -163,6 +172,52 @@ class TestCanonicalContainer:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"csiloc {command}: csi must be"), err
 
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_load_maps_without_copying(self, tmp_path, n):
+        """The blobs are mapped, not read: the traced peak stays under 1 MB whatever n is."""
+        ds = tiny_dataset(n=n, a=16, w=128)   # csi.f32 is 1.6 MB at n=100, 6.6 MB at n=400
+        write_canonical(tmp_path / "d", ds)
+        tracemalloc.start()
+        try:
+            back = load_canonical(tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        for name in ("csi", "snr", "pos"):
+            assert not getattr(back, name).flags.writeable, name
+            npt.assert_array_equal(getattr(back, name), getattr(ds, name))
+
+    def test_map_failure_names_the_file(self, tmp_path, monkeypatch):
+        write_canonical(tmp_path / "d", tiny_dataset())
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+        monkeypatch.setattr(np, "memmap", refuse)
+        with pytest.raises(DataFormatError, match=r"csi\.f32: cannot map: No such device"):
+            load_canonical(tmp_path / "d")
+
+    def test_overwrite_keeps_loaded_arrays(self, tmp_path):
+        """write_canonical over a loaded container renames new files into place, so the loaded
+        arrays keep the old mapped bytes. Truncating a mapped file kills the reader (SIGBUS),
+        hence the separate process."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from csiloc.data import SynthConfig, generate_synthetic, load_canonical, write_canonical\n"
+            "d = sys.argv[1]\n"
+            "write_canonical(d, generate_synthetic(SynthConfig(num_samples=300, num_subcarriers=64, seed=1)))\n"
+            "ds = load_canonical(d)\n"
+            "before = [np.array(a) for a in (ds.csi, ds.snr, ds.pos)]\n"
+            "write_canonical(d, generate_synthetic(SynthConfig(num_samples=10, num_subcarriers=64, seed=2)))\n"
+            "assert all(np.array_equal(a, b) for a, b in zip(before, (ds.csi, ds.snr, ds.pos)))\n"
+            "assert len(load_canonical(d)) == 10\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(CANONICAL_FILES)
+
     def test_non_finite_on_disk(self, tmp_path):
         ds = tiny_dataset()
         write_canonical(tmp_path / "d", ds)
@@ -303,6 +358,25 @@ class TestNormalizer:
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="finite and positive"):
             NormStats(scale)
+
+    def test_fit_keeps_no_reference_to_the_data(self, monkeypatch):
+        """Nothing fit_normalizer makes outlives it: without the cyclic collector,
+        deleting the dataset frees its CSI."""
+        # one thread: a pool task the caller cancels and runs itself stays queued,
+        # holding its arguments, until a pool thread takes it
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        csi = np.random.default_rng(18).standard_normal((40, 2, 4, 1024)).astype(np.float32)
+        ds = Dataset(csi, np.zeros((40, 4)), np.ones((40, 3)))   # 5 spans of _NORM_CHUNK
+        alive = weakref.ref(csi)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fit_normalizer(ds)
+            del ds, csi
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_zero_variance(self):
         ds = Dataset(np.full((2, 2, 2, 8), 3.0), np.zeros((2, 2)), np.ones((2, 3)))

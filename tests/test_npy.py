@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,21 @@ class TestReader:
         path.write_bytes(b"NOTANPYFILE")
         with pytest.raises(DataFormatError, match="magic"):
             read_npy(path)
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_maps_without_copying(self, tmp_path, n):
+        """Only the header is read: the traced peak stays under 1 MB whatever n is."""
+        arr = np.arange(n * 16 * 128, dtype=np.float32).view(np.complex64).reshape(n, 16, 64)
+        write_npy(tmp_path / "c.npy", arr)   # 1.6 MB at n=200, 6.6 MB at n=800
+        tracemalloc.start()
+        try:
+            back = read_npy(tmp_path / "c.npy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert not back.flags.writeable
+        npt.assert_array_equal(back, arr)
 
     def test_rejects_truncated_payload(self, tmp_path):
         path = craft_npy(tmp_path / "t.npy", "<f4", (4,), np.zeros(3, "<f4").tobytes())
@@ -235,6 +251,17 @@ class TestRoundTrips:
         write_npy(tmp_path / "pos.npy", np.ones((2, 3), "<f4"))
         with pytest.raises(DataFormatError, match="complex csi"):
             import_npy(tmp_path / "csi.npy", tmp_path / "snr.npy", tmp_path / "pos.npy")
+
+    def test_zero_samples(self, tmp_path, capsys):
+        """Empty payloads are not mapped: import fails on the empty dataset, with one csiloc line."""
+        write_npy(tmp_path / "csi.npy", np.zeros((0, 2, 4), "<c8"))
+        write_npy(tmp_path / "snr.npy", np.zeros((0, 2), "<f4"))
+        write_npy(tmp_path / "pos.npy", np.zeros((0, 3), "<f4"))
+        with pytest.raises(DataFormatError, match="dataset must be nonempty"):
+            import_npy(tmp_path / "csi.npy", tmp_path / "snr.npy", tmp_path / "pos.npy")
+        assert main(["import", *[f"--{k}={tmp_path / k}.npy" for k in ("csi", "snr", "pos")],
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["csiloc import: dataset must be nonempty"]
 
     @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 1, 0)])
     def test_zero_size_csi(self, tmp_path, capsys, shape):
