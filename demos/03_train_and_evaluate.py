@@ -15,7 +15,8 @@ EPOCHS = 12
 
 ds = generate_synthetic(SynthConfig(num_samples=1000, num_subcarriers=64,
                                     num_reflectors=3, seed=42))
-train_ds, eval_ds = split(ds, SplitStrategy("random", 0.1, seed=1))
+train_ids, eval_ids = split(ds, SplitStrategy("random", 0.1, seed=1))
+train_ds, eval_ds = ds.subset(train_ids), ds.subset(eval_ids)
 norm = fit_normalizer(train_ds)   # training and evaluation divide each batch by its scale
 cfg = TrainConfig(max_epochs=EPOCHS, batch_size=32, seed=5)
 

@@ -145,14 +145,14 @@ def cmd_split(args):
     _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_OUTPUTS])
     ds = load_canonical(args.data)
     strat = SplitStrategy(args.kind, args.fraction, args.seed)
-    train_ds, eval_ds = split(ds, strat)
-    write_canonical(out / "train", train_ds)
-    write_canonical(out / "eval", eval_ds)
+    train_ids, eval_ids = split(ds, strat)
+    write_canonical(out / "train", ds, train_ids)
+    write_canonical(out / "eval", ds, eval_ids)
     _write_manifest(out, "split", {"data": str(args.data), "kind": args.kind,
                                    "fraction": args.fraction, "seed": args.seed,
-                                   "out": str(out), "n_train": len(train_ds),
-                                   "n_eval": len(eval_ds)}, started)
-    print(f"split {len(ds)} samples -> train {len(train_ds)} / eval {len(eval_ds)} ({args.kind})")
+                                   "out": str(out), "n_train": len(train_ids),
+                                   "n_eval": len(eval_ids)}, started)
+    print(f"split {len(ds)} samples -> train {len(train_ids)} / eval {len(eval_ids)} ({args.kind})")
     return 0
 
 

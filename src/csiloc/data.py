@@ -43,6 +43,10 @@ SYNTH_REFLECTOR_GAIN_RANGE = (0.2, 0.8)
 
 # values a Dataset checks for finiteness at once (rounded to whole samples)
 _FINITE_CHUNK = 1 << 16
+# bytes of a subset's blob write_canonical gathers and writes at a time (16 MiB).
+# Much smaller chunks slowed the training that follows a split in the same
+# process, which then took several times the page faults
+_WRITE_CHUNK = 1 << 24
 # CSI values fit_normalizer converts to float64 at a time (512 KiB); at least
 # numpy's 128-value pairwise leaf, below which its walk would never end
 _NORM_CHUNK = 1 << 16
@@ -118,12 +122,22 @@ CANONICAL_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
 CANONICAL_OUTPUTS = (*CANONICAL_FILES, *(f"{name}.tmp" for name in CANONICAL_FILES[1:]))
 
 
-def write_canonical(directory, ds: Dataset):
+def write_canonical(directory, ds: Dataset, rows=None):
+    """ds as a container in directory, or only its rows (indices, in their order).
+
+    With rows=None each blob is written whole from a view: a loaded, imported
+    or generated dataset's CSI transposes back to its own contiguous bytes, so
+    nothing is copied. Given rows, each blob is gathered from ds and written
+    at most _WRITE_CHUNK bytes (or one row) at a time, so no whole subset is
+    ever held.
+    """
     directory = make_output_dir(directory)
     meta_path, *blob_paths = (directory / name for name in CANONICAL_FILES)
+    rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+    n = len(ds) if rows is None else len(rows)
     meta = {
         "format_version": 1,
-        "n": len(ds),
+        "n": n,
         "antennas": ds.n_antennas,
         "subcarriers": ds.n_subcarriers,
         "fc_hz": ds.fc_hz,
@@ -131,10 +145,15 @@ def write_canonical(directory, ds: Dataset):
         "frame": ds.frame,
     }
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    # loaded, imported, generated or split CSI transposes back to its own contiguous bytes: no copy
     for path, arr in zip(blob_paths, (ds.csi.transpose(0, 2, 3, 1), ds.snr, ds.pos)):
         with replace_file(path) as f:
-            np.ascontiguousarray(arr, dtype="<f4").tofile(f)
+            if rows is None:
+                np.ascontiguousarray(arr, dtype="<f4").tofile(f)
+                continue
+            step = max(1, _WRITE_CHUNK // (4 * arr[0].size))   # rows per chunk
+            for lo in range(0, n, step):
+                # no name holds the chunk: it is freed before the next is gathered
+                np.ascontiguousarray(arr[rows[lo:lo + step]], dtype="<f4").tofile(f)
 
 
 _META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": (int, float),
@@ -495,6 +514,6 @@ def split_indices(positions, strat: SplitStrategy):
 
 
 def split(ds: Dataset, strat: SplitStrategy):
-    """(train, eval) datasets; disjoint and exhaustive over ds."""
-    train_ids, eval_ids = split_indices(ds.pos, strat)
-    return ds.subset(train_ids), ds.subset(eval_ids)
+    """ds's (train, eval) row indices, as split_indices gives them for its positions:
+    ds.subset of each is a dataset, write_canonical(directory, ds, rows) a container."""
+    return split_indices(ds.pos, strat)

@@ -82,15 +82,24 @@ def _fan_out(tasks, on_caller=1):
     1, so it splits nothing further. A task writes only into buffers the
     caller allocated: a large allocation on a pool thread grows that thread's
     own malloc arena.
+
+    Each pool task goes to _POOL in a one-slot list that whoever runs it empties:
+    a cancelled work item stays queued until a pool thread takes it, and then it
+    holds no reference to the task or its arguments.
     """
-    futures = [_POOL.submit(task) for task in tasks[on_caller:]]
+    slots = [[task] for task in tasks[on_caller:]]
+    futures = [_POOL.submit(_run_slot, slot) for slot in slots]
     for task in tasks[:on_caller]:
         task()
-    for future, task in zip(futures, tasks[on_caller:]):
+    for future, slot in zip(futures, slots):
         if on_caller and future.cancel():   # no pool thread has started it (its core is busy)
-            task()
+            _run_slot(slot)
         else:
             future.result()
+
+
+def _run_slot(slot):
+    slot.pop()()
 
 
 def conv_out_width(width, kernel, stride):

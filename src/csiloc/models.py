@@ -17,18 +17,18 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 import json
 import math
 import operator
+import os
 import struct
 import sys
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
 from .data import round_half_up
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, DataFormatError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit, conv_out_width
 from .network import Network, count_weights
-from .npyio import replace_file
+from .npyio import map_readonly, replace_file
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
 
@@ -252,18 +252,24 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
 
 
 def load_checkpoint(path):
-    """Rebuild the network and restore weights; returns (net, norm_scale, meta)."""
+    """Rebuild the network and restore weights; returns (net, norm_scale, meta).
+
+    Only the magic and the header line are read; the weights are copied from a
+    read-only mapping of the file.
+    """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            magic = f.read(len(CHECKPOINT_MAGIC))
+            line = f.readline() if magic == CHECKPOINT_MAGIC else b""
+            offset, size = f.tell(), os.fstat(f.fileno()).st_size
     except OSError as e:
         raise CheckpointError(f"{path}: cannot read: {e.strerror or e}") from e
-    if not blob.startswith(CHECKPOINT_MAGIC):
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic; not a CSILOC1 checkpoint")
-    nl = blob.find(b"\n", len(CHECKPOINT_MAGIC))
-    if nl < 0:
+    if not line.endswith(b"\n"):
         raise CheckpointError(f"{path}: missing header line")
     try:
-        header = json.loads(blob[len(CHECKPOINT_MAGIC):nl].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
     if not isinstance(header, dict):
@@ -287,7 +293,7 @@ def load_checkpoint(path):
     except (TypeError, KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: header 'layers' has malformed param_shapes") from e
     counts = [math.prod(shape) for shape in shapes]
-    need, held = sum(8 + 8 * n for n in counts), len(blob) - nl - 1
+    need, held = sum(8 + 8 * n for n in counts), size - offset
     if held < need:
         raise CheckpointError(f"{path}: truncated: header declares {need} parameter bytes, file holds {held}")
     if held > need:
@@ -304,7 +310,10 @@ def load_checkpoint(path):
     if declared != rebuilt:
         raise CheckpointError(f"{path}: header layer list does not match rebuilt architecture")
 
-    offset = nl + 1
+    try:
+        blob = map_readonly(path, np.uint8, size)
+    except DataFormatError as e:
+        raise CheckpointError(str(e)) from e
     for label, p in net.named_params():
         (count,) = struct.unpack_from("<Q", blob, offset)
         if count != p.size:

@@ -157,7 +157,12 @@ class Unstarted(Future):
 
 
 class StalledPool:
-    """Stands in for layers._POOL with every core busy: it starts nothing."""
+    """Stands in for layers._POOL with every core busy: it starts nothing, and keeps
+    what it was handed queued, as a real pool's work queue does."""
+
+    def __init__(self):
+        self.queued = []
 
     def submit(self, *args):
+        self.queued.append(args)
         return Unstarted()

@@ -162,7 +162,8 @@ DESK_TRAIN = TrainConfig(max_epochs=50, batch_size=32, seed=5)
 def test_criterion_6_end_to_end_learning_signal():
     started = time.perf_counter()
     ds = generate_synthetic(DESK_SYNTH)
-    train_ds, eval_ds = split(ds, SplitStrategy("random", 0.1, seed=1))
+    train_ids, eval_ids = split(ds, SplitStrategy("random", 0.1, seed=1))
+    train_ds, eval_ds = ds.subset(train_ids), ds.subset(eval_ids)
     norm = fit_normalizer(train_ds)
 
     baseline = build_model("linear", {"seed": 3}, (2, 16, 64))
@@ -234,7 +235,8 @@ def test_criterion_7_measured_scale_pipeline_shape(tmp_path):
 
 def test_criterion_8_report_artifact_validity(tmp_path):
     ds = generate_synthetic(SynthConfig(num_samples=300, num_subcarriers=16, seed=88))
-    train_ds, eval_ds = split(ds, SplitStrategy("random", 0.2, seed=9))
+    train_ids, eval_ids = split(ds, SplitStrategy("random", 0.2, seed=9))
+    train_ds, eval_ds = ds.subset(train_ids), ds.subset(eval_ids)
     norm = fit_normalizer(train_ds)
     net = build_model("linear", {"seed": 4}, (2, 16, 16))
     net, _ = train(net, train_ds, TrainConfig(max_epochs=3, batch_size=32, seed=6), norm)

@@ -192,7 +192,8 @@ def test_in_memory_equals_container(tmp_path, kind, arch):
     cfg = TrainConfig(max_epochs=3, batch_size=8, seed=2)
     runs = []
     for data in (ds, load_canonical(tmp_path / "c")):
-        train_set, eval_set = split(data, SplitStrategy("random", 0.2, 3))
+        train_ids, eval_ids = split(data, SplitStrategy("random", 0.2, 3))
+        train_set, eval_set = data.subset(train_ids), data.subset(eval_ids)
         norm = fit_normalizer(train_set)
         net, history = train(build_model(kind, arch, (2, 16, 32)), train_set, cfg, norm)
         report = evaluate(net, eval_set, norm)

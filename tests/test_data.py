@@ -90,6 +90,16 @@ class TestCanonicalContainer:
         npt.assert_array_equal(back.pos, ds.pos)
         assert back.fc_hz == ds.fc_hz and back.bandwidth_hz == ds.bandwidth_hz
 
+    def test_chunked_write_bytes(self, tmp_path, monkeypatch):
+        """Rows gathered and written a row or two at a time, in their order, hold the
+        bytes of the subset of those rows written whole."""
+        ds, rows = tiny_dataset(n=6), [4, 0, 2, 5]
+        write_canonical(tmp_path / "whole", ds.subset(rows))
+        monkeypatch.setattr(data, "_WRITE_CHUNK", 20)   # csi 1 row, snr 2 rows, pos 1 row per chunk
+        write_canonical(tmp_path / "chunked", ds, rows)
+        for name in CANONICAL_FILES:
+            assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
     def test_second_pass_fixed_point(self, tmp_path):
         ds = generate_synthetic(SynthConfig(num_samples=5, num_subcarriers=16, seed=1))
         write_canonical(tmp_path / "a", ds)
@@ -275,6 +285,44 @@ GEN_SHA256 = {
 }
 
 
+# sha256 of `csiloc split --kind K --out S` of GEN_SHA256's container, per S/<sub>/<file>,
+# taken when split still gathered each subset whole before writing it
+SPLIT_SHA256 = {
+    "random/train/meta.json": "9c5c0d9acc96892925139cdae36a92c30e573c47e90bc8903690b78148882097",
+    "random/train/csi.f32": "77f9938d028a38545748656856c0890ca879349b84128f36086ca9e97ae2ca4a",
+    "random/train/snr.f32": "f517a793db664a8fb2dc5538dbfe3ea2b07ef8a87091fad02758c410739ac292",
+    "random/train/pos.f32": "3b32b12e36375b18baa089dffd02f8113966edd8882c83409eff26f06dc450de",
+    "random/eval/meta.json": "0ad40989c585d114dc18e78fc371b15c2d2b292c758a49bbd91f56a0ce1f3909",
+    "random/eval/csi.f32": "f1d515252e5ff68afc3983cbb520323d42fff42a06638050751332f1827146e2",
+    "random/eval/snr.f32": "7ca782fe7f0202b2e021d3cc8401c108cffabb5e437eb8c83391335a38002d05",
+    "random/eval/pos.f32": "f4dbd70f97b6a5417574e90c148c5435a14b418eebc43ce1f77f14a7b60034f6",
+    "narrow/train/meta.json": "9c5c0d9acc96892925139cdae36a92c30e573c47e90bc8903690b78148882097",
+    "narrow/train/csi.f32": "9e6b27febe7a88258d471039d9520254a0197838f0c31e320959a6bdc9d54f9f",
+    "narrow/train/snr.f32": "61451fb3f2ad789693b3958f6639ff4c50bd0f19c3cf317d7cfe2e935de5ce0a",
+    "narrow/train/pos.f32": "99dd70e5d7704bc7f1bf9ca7773bd1bfcbf288e27d19a2e146040859acbeec0f",
+    "narrow/eval/meta.json": "0ad40989c585d114dc18e78fc371b15c2d2b292c758a49bbd91f56a0ce1f3909",
+    "narrow/eval/csi.f32": "f75160867c0b4699306a5a564201b90cf175306c704d4b6913a865fdaa74bdf1",
+    "narrow/eval/snr.f32": "bb5dd0434e16c956b9c21cd3f71ddcb4fed4074f9c6914dd510f08af5e8b96f6",
+    "narrow/eval/pos.f32": "845eb69a75e583d94f8937065fb3ef42bbdda2e1a989929f5be0cb4d9b2cad79",
+    "wide/train/meta.json": "9c5c0d9acc96892925139cdae36a92c30e573c47e90bc8903690b78148882097",
+    "wide/train/csi.f32": "d306604fcd8d20b9732f195f943c2b926f860a4540c278749d74251c593b8103",
+    "wide/train/snr.f32": "75f61dc8cd54cd6f1a3109852d8fa83b0ba2372e4a92d93bd48924871727727f",
+    "wide/train/pos.f32": "a28595f80d27fc5770320a73b5e6ad9bef90ae631914d7328d6bae10747bea28",
+    "wide/eval/meta.json": "0ad40989c585d114dc18e78fc371b15c2d2b292c758a49bbd91f56a0ce1f3909",
+    "wide/eval/csi.f32": "4f67a122ffeaea29d34cd9e88192f9649810d8ea4f25ef7790626b6298b5f5bf",
+    "wide/eval/snr.f32": "cf605744c351471c63c518e62d9ea6de8e22dcf9d54490c75e60aa831846d334",
+    "wide/eval/pos.f32": "f9134906405bd9a88a9f057f769f1086d4cd769fb69689a2763aadfa5c6294e5",
+    "within/train/meta.json": "9c5c0d9acc96892925139cdae36a92c30e573c47e90bc8903690b78148882097",
+    "within/train/csi.f32": "166cf142528fa14424ed2f3af702b13bb8afc926d84915b461492ff86754bb76",
+    "within/train/snr.f32": "25a23f42cc6a5c34bcf70c714da82ebb23ad19b5a08c02cf9ba68185f7f7ee74",
+    "within/train/pos.f32": "12cd1912e6e05a989865e9676e0217f0d16b2e0780afabd96e7353c6811caf6d",
+    "within/eval/meta.json": "0ad40989c585d114dc18e78fc371b15c2d2b292c758a49bbd91f56a0ce1f3909",
+    "within/eval/csi.f32": "6f60958049d0395b7074735f4758f6c4170c7c41225d7c4472d96ca0c4df2256",
+    "within/eval/snr.f32": "6b69adb38104242d3d8ab524ea536f5502e46366f8895f087607e40f272165e7",
+    "within/eval/pos.f32": "550becc62c8f18286559b890ca01b19425a67667caf007547436089c69220538",
+}
+
+
 class TestGenerator:
     def test_seed_determinism(self):
         cfg = SynthConfig(num_samples=20, num_subcarriers=16, seed=9)
@@ -309,6 +357,20 @@ class TestGenerator:
         files = [out / name for name in CANONICAL_FILES] + [
             tmp_path / "npy" / name for name in ("csi.npy", "snr.npy", "pos.npy")]
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == GEN_SHA256
+
+    def test_split_bytes_pinned(self, tmp_path):
+        """csiloc split of the pinned container keeps its bytes, for every kind."""
+        assert main(["gen", "--out", str(tmp_path / "gen"), "--samples", "300", "--subcarriers", "64",
+                     "--seed", "4"]) == 0
+        got = {}
+        for kind in ("random", "narrow", "wide", "within"):
+            assert main(["split", "--data", str(tmp_path / "gen"), "--kind", kind,
+                         "--out", str(tmp_path / kind)]) == 0
+            for sub in ("train", "eval"):
+                for name in CANONICAL_FILES:
+                    path = tmp_path / kind / sub / name
+                    got[f"{kind}/{sub}/{name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == SPLIT_SHA256
 
     def test_snr_near_target_range(self):
         cfg = SynthConfig(num_samples=30, num_subcarriers=64, seed=11,
@@ -359,12 +421,12 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="finite and positive"):
             NormStats(scale)
 
-    def test_fit_keeps_no_reference_to_the_data(self, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fit_keeps_no_reference_to_the_data(self, monkeypatch, threads):
         """Nothing fit_normalizer makes outlives it: without the cyclic collector,
-        deleting the dataset frees its CSI."""
-        # one thread: a pool task the caller cancels and runs itself stays queued,
-        # holding its arguments, until a pool thread takes it
-        monkeypatch.setenv("CSILOC_THREADS", "1")
+        deleting the dataset frees its CSI. At two threads the second subtree is a
+        pool task, whose queued work item holds nothing once it has run."""
+        monkeypatch.setenv("CSILOC_THREADS", threads)
         csi = np.random.default_rng(18).standard_normal((40, 2, 4, 1024)).astype(np.float32)
         ds = Dataset(csi, np.zeros((40, 4)), np.ones((40, 3)))   # 5 spans of _NORM_CHUNK
         alive = weakref.ref(csi)
@@ -470,7 +532,8 @@ class TestSplits:
 
     def test_split_datasets(self):
         ds = generate_synthetic(SynthConfig(num_samples=40, num_subcarriers=16, seed=21))
-        train, ev = split(ds, SplitStrategy("random", 0.25, seed=7))
+        train_ids, ev_ids = split(ds, SplitStrategy("random", 0.25, seed=7))
+        train, ev = ds.subset(train_ids), ds.subset(ev_ids)
         assert len(train) + len(ev) == 40 and len(ev) == 10
         all_pos = np.vstack([train.pos, ev.pos])
         npt.assert_array_equal(np.sort(all_pos, axis=0), np.sort(ds.pos, axis=0))

@@ -1,6 +1,8 @@
 import sys
 import threading
 import tracemalloc
+import weakref
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +16,18 @@ from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUn
 
 from conftest import (CountingPool, StalledPool, fd_layer_check, naive_avgpool1xp, naive_conv1xk,
                       naive_conv1xk_backward)
+
+
+def test_cancelled_task_holds_nothing(monkeypatch):
+    """A task the caller cancels and runs itself stays in the pool's queue until a pool
+    thread takes it; the queued item by then holds neither the task nor its arguments."""
+    pool = StalledPool()
+    monkeypatch.setattr(layers, "_POOL", pool)
+    data = np.ones(8)
+    alive = weakref.ref(data)
+    layers._fan_out([lambda: None, partial(np.sum, data)])
+    del data
+    assert len(pool.queued) == 1 and alive() is None
 
 
 def make_conv(c_in, f, k, s, padding="valid", seed=0):

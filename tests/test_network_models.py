@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import json
 import struct
@@ -529,6 +530,39 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"NOTCSILOC" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, match", [(b"", "bad magic"), (b"CSILOC1\n{}", "missing header line")],
+                             ids=["empty", "no header line"])
+    def test_short_file(self, tmp_path, blob, match):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_load_maps_the_file(self, tmp_path):
+        """The weights are copied from a mapping of the file, not from a read copy: loading
+        the shipped cnn4 (a 37.5 MB file) allocates its value, gradient and velocity, and
+        nothing the size of the file."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model("cnn4", {}, models.DEFAULT_INPUT_SHAPE), norm_scale=1.0)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * size, (peak, size)   # 4x when the file was read whole
+
+    def test_map_failure_is_a_checkpoint_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model("linear", {"seed": 0}, (2, 2, 4)), norm_scale=1.0)
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+        monkeypatch.setattr(np, "memmap", refuse)
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: cannot map: No such device"):
             load_checkpoint(path)
 
     def test_truncated_blob(self, tmp_path):
