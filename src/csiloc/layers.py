@@ -11,14 +11,16 @@ reference (same sequence of IEEE multiply/adds per output element). The conv
 forward runs that sequence in a filter-major (F, B*H*W_out) accumulator: per
 (channel, tap) it copies the strided input window into one contiguous row,
 multiplies it by the tap's filter column and adds the product, so every ufunc
-sweeps long contiguous runs. Up to CSILOC_THREADS threads run that sequence
-at once, each over its own batch slice of the accumulator's columns (slices
-of at least _SPLIT_FLOOR output elements), so the output bits do not depend on
-the thread count. The conv backward is two BLAS products per kernel tap, one
-for the weight gradient and one for the input gradient: equal to the loop only
-to rounding. On two threads the caller runs every tap's weight product while a
-pool thread runs every tap's input product, in tap order, so each gradient
-gets the serial bits. The dense backward runs its two products the same way.
+sweeps long contiguous runs. A small ufunc buffer (_ROW_BUFFER) keeps numpy
+from buffering that broadcast multiply when rows are short, as at desk width.
+Up to CSILOC_THREADS threads run that sequence at once, each over its own
+batch slice of the accumulator's columns (slices of at least _SPLIT_FLOOR
+output elements), so the output bits do not depend on the thread count. The
+conv backward is two BLAS products per kernel tap, one for the weight gradient
+and one for the input gradient: equal to the loop only to rounding. On two
+threads the caller runs every tap's weight product while a pool thread runs
+every tap's input product, in tap order, so each gradient gets the serial
+bits. The dense backward runs its two products the same way.
 All parallel work, evaluation's chunks included, goes through _fan_out on the
 one pool, _POOL, of one thread per core. A pool thread runs its task alone,
 with a budget of one thread, and writes only into buffers its caller allocated.
@@ -46,6 +48,10 @@ DTYPE = np.float64
 # work is split only while each part holds this many output elements; below
 # it, handing a part to another thread costs more than it saves
 _SPLIT_FLOOR = 1 << 15
+# ufunc buffer of the conv forward's sweep: at numpy's 8192, its (F, 1) x row multiply into
+# a whole (F, n) block is buffered, 3-5x slower per element, when n is under about a third
+# of it (desk rows are 512-2,560). The bits are unchanged. numpy 1.x needs a multiple of 16
+_ROW_BUFFER = 256
 # _fan_out's threads, one per core. Each is marked when it starts, and _threads() is 1 on
 # it: its splits have one part, run by itself, so it never waits on an unstarted task
 _ON_POOL = threading.local()
@@ -245,13 +251,17 @@ class Conv1xK(Layer):
             cols = slice(lo * hw, hi * hw)
             part, scratch, line = acc[:, cols], tmp[:, cols], row[cols]
             win = line.reshape(hi - lo, height, w_out)
-            for c in range(self.in_channels):
-                plane = xp[lo:hi, c]
-                for t in range(k):
-                    win[...] = plane[:, :, t:t + s * w_out:s]
-                    np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
-                    part += scratch
-            part += bias
+            old = np.setbufsize(_ROW_BUFFER)   # per thread, so set on whichever runs the sweep
+            try:
+                for c in range(self.in_channels):
+                    plane = xp[lo:hi, c]
+                    for t in range(k):
+                        win[...] = plane[:, :, t:t + s * w_out:s]
+                        np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
+                        part += scratch
+                part += bias
+            finally:
+                np.setbufsize(old)
 
         _fan_out([partial(sweep, lo, hi) for lo, hi in _parts(batch, f * hw)])
         del tmp  # before the output copy, so at most two output-sized arrays are live

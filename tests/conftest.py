@@ -117,6 +117,20 @@ def fd_layer_check(layer, x, rng, step=1e-6, check_input=True):
     return worst
 
 
+@pytest.fixture(autouse=True)
+def ufunc_state_kept():
+    """Fails a test that leaves the calling thread's ufunc buffer size or error
+    handling other than it found them, and puts them back, so no test runs
+    under another's settings."""
+    before = np.getbufsize(), np.geterr()
+    yield
+    after = np.getbufsize(), np.geterr()
+    if after != before:
+        np.setbufsize(before[0])
+        np.seterr(**before[1])
+        pytest.fail(f"ufunc state changed from (bufsize, errors) {before} to {after}")
+
+
 _ACCEPTANCE_RESULTS = []
 
 

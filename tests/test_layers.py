@@ -197,6 +197,16 @@ SPLIT_CASES = {
     "same": ((3, 1, 4, 8, 1024, 3, 1, "same"), (1, 2, 3)),
     "stride_gt_kernel": ((3, 1, 4, 8, 5117, 2, 5, "valid"), (1, 2, 3)),  # stride > kernel
 }
+# forwards whose sweep rows (B*H*W_out columns) run 16 to 4608 wide, on both sides of
+# a third of numpy's default 8192-element ufunc buffer; cols4608 sweeps 2304 a slice
+BORDER_CASES = {
+    "cols16": ((1, 2, 3, 2, 9, 2, 1, "valid"), (1, 1, 1)),
+    "cols176": ((2, 2, 3, 4, 22, 3, 1, "same"), (1, 1, 1)),
+    "cols512": ((4, 2, 3, 16, 16, 3, 2, "same"), (1, 1, 1)),
+    "cols2048": ((8, 2, 3, 16, 33, 3, 2, "valid"), (1, 1, 1)),
+    "cols2736": ((3, 2, 3, 8, 117, 4, 1, "valid"), (1, 1, 1)),
+    "cols4608": ((2, 1, 16, 4, 577, 2, 1, "valid"), (1, 2, 2)),
+}
 # a backward splits when its output holds the floor; this one holds 32767
 BACKWARD_SHAPES = {**{name: shape for name, (shape, _) in SPLIT_CASES.items()},
                    "output_under_floor": (1, 1, 7, 31, 152, 2, 1, "valid")}
@@ -229,7 +239,8 @@ def race(callers, call, rounds=5):
 class TestConvSplit:
     """The batch slices of a conv forward keep every output's naive IEEE sequence."""
 
-    @pytest.mark.parametrize("shape,slices", list(SPLIT_CASES.values()), ids=list(SPLIT_CASES))
+    @pytest.mark.parametrize("shape,slices", [*SPLIT_CASES.values(), *BORDER_CASES.values()],
+                             ids=[*SPLIT_CASES, *BORDER_CASES])
     def test_bitwise_for_each_thread_count(self, monkeypatch, shape, slices):
         b, c, f, h, w, k, s, padding = shape
         conv = make_conv(c, f, k, s, padding, seed=47)
@@ -277,6 +288,34 @@ class TestConvSplit:
         # the slices are views of one accumulator; the futures cost a few hundred bytes
         assert peaks["2"] <= peaks["1"] + 16384, peaks
         assert peaks["1"] > 8 * 16 * 16 * 64 * 8 * 2
+
+    def test_ufunc_buffer_left_as_found(self, monkeypatch):
+        """A two-part forward leaves the caller's buffer size and error handling as
+        they were, and each pool thread at numpy's default buffer."""
+        monkeypatch.setenv("CSILOC_THREADS", "2")
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        conv = make_conv(1, 16, 2, 1, seed=57)
+        x = np.random.default_rng(58).standard_normal((2, 1, 4, 577))
+        old = np.setbufsize(4096)
+        try:
+            with np.errstate(over="raise", under="warn"):
+                errors = np.geterr()
+                conv.forward(x)
+                assert pool.submits == 1
+                assert np.getbufsize() == 4096
+                assert np.geterr() == errors
+        finally:
+            np.setbufsize(old)
+        workers = pool.pool._max_workers
+        start = threading.Barrier(workers, timeout=30)   # one task on each pool thread
+        sizes = []
+
+        def read():
+            start.wait()
+            sizes.append(np.getbufsize())
+        layers._fan_out([read] * workers, on_caller=0)
+        assert sizes == [8192] * workers
 
     def test_malformed_thread_count_raises(self, monkeypatch):
         conv = make_conv(1, 1, 3, 1)
