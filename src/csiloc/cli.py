@@ -9,19 +9,19 @@ Exit codes: 0 success, 1 numeric/validation failure, 2 usage error.
 
 import argparse
 import datetime
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import (CANONICAL_OUTPUTS, SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig,
+from .data import (CANONICAL_FILES, SPLIT_KINDS, NormStats, SplitStrategy, SynthConfig,
                    fit_normalizer, generate_synthetic, import_npy, load_canonical, make_output_dir,
                    split, write_canonical)
 from .errors import CsilocError
 from .models import (DEFAULT_ARCH, DEFAULT_INPUT_SHAPE, MODEL_KINDS, ArchConfig, _weights_to_build,
                      build_model, build_tiny, load_checkpoint, save_checkpoint, weights_millions)
 from . import network
+from .npyio import json_is, read_json_object, tmp_sibling, write_json
 from .train import TrainConfig, train
 from .evaluation import REPORT_FILES, evaluate, emit_reports
 
@@ -53,42 +53,27 @@ def _utc_now():
 
 
 def _write_manifest(directory, command, params, started):
-    manifest = {
+    write_json(Path(directory) / MANIFEST, {
         "command": command,
         "parameters": params,
         "tool": "csiloc",
         "version": __version__,
         "started_utc": started,
         "ended_utc": _utc_now(),
-    }
-    (Path(directory) / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _check_output_names(directory, names):
-    """Fail before any work when a file the command writes in directory is a directory."""
+    """Fail before any work when a file the command writes in directory, or the
+    tmp_sibling that replace_file writes it through, is a directory."""
     for name in (*names, MANIFEST):
-        path = Path(directory) / name
-        if path.is_dir():
-            raise CsilocError(f"cannot write {path}: it is a directory")
+        for path in (Path(directory) / name, tmp_sibling(Path(directory) / name)):
+            if path.is_dir():
+                raise CsilocError(f"cannot write {path}: it is a directory")
 
 
 def _load_config_file(path):
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise CsilocError(f"cannot read config file {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise CsilocError(f"config file {path} must hold a flat JSON object")
-    return cfg
-
-
-def _fits(value, kind):
-    """JSON value check for a dataclass field annotated int or float."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) if kind is int else isinstance(value, (int, float))
+    return {} if path is None else read_json_object(path, CsilocError)
 
 
 def _split_config(flat, kind):
@@ -100,11 +85,11 @@ def _split_config(flat, kind):
     for key, value in flat.items():
         name = "seed" if key == "train_seed" else key
         if key == "hidden":
-            dest, ok = arch, isinstance(value, list) and all(_fits(u, int) and u >= 1 for u in value)
+            dest, ok = arch, isinstance(value, list) and all(json_is(u, int) and u >= 1 for u in value)
         elif key in arch_fields:
-            dest, ok = arch, _fits(value, arch_fields[key].type)
+            dest, ok = arch, json_is(value, arch_fields[key].type)
         elif name in train_fields:
-            dest, ok = train_kw, _fits(value, train_fields[name].type)
+            dest, ok = train_kw, json_is(value, train_fields[name].type)
         else:
             raise CsilocError(f"unknown config field {key!r}")
         if not ok:
@@ -120,7 +105,7 @@ def cmd_gen(args):
     cfg = SynthConfig(num_samples=args.samples, num_subcarriers=args.subcarriers,
                       num_reflectors=args.reflectors, seed=args.seed,
                       snr_db_range=(args.snr_low, args.snr_high))
-    _check_output_names(args.out, CANONICAL_OUTPUTS)
+    _check_output_names(args.out, CANONICAL_FILES)
     ds = generate_synthetic(cfg)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "gen", {**asdict(cfg), "out": str(args.out)}, started)
@@ -130,7 +115,7 @@ def cmd_gen(args):
 
 def cmd_import(args):
     started = _utc_now()
-    _check_output_names(args.out, CANONICAL_OUTPUTS)
+    _check_output_names(args.out, CANONICAL_FILES)
     ds = import_npy(args.csi, args.snr, args.pos)
     write_canonical(args.out, ds)
     _write_manifest(args.out, "import", {"csi": str(args.csi), "snr": str(args.snr),
@@ -142,7 +127,7 @@ def cmd_import(args):
 def cmd_split(args):
     started = _utc_now()
     out = Path(args.out)
-    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_OUTPUTS])
+    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_FILES])
     ds = load_canonical(args.data)
     strat = SplitStrategy(args.kind, args.fraction, args.seed)
     train_ids, eval_ids = split(ds, strat)
@@ -158,8 +143,7 @@ def cmd_split(args):
 
 def cmd_train(args):
     started = _utc_now()
-    # save_checkpoint writes model.ckpt.tmp first, then renames it
-    _check_output_names(args.out, ("model.ckpt", "model.ckpt.tmp", "history.csv"))
+    _check_output_names(args.out, ("model.ckpt", "history.csv"))
     arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
     if args.seed is not None:
         train_kw["seed"] = args.seed
@@ -297,8 +281,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CsilocError, ValueError) as e:
-        print(f"csiloc {args.command}: {e}", file=sys.stderr)
+    except (CsilocError, ValueError, MemoryError) as e:   # MemoryError: an array too large to allocate
+        print(f"csiloc {args.command}: {e or type(e).__name__}", file=sys.stderr)
         return 1
 
 

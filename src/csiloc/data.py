@@ -11,7 +11,6 @@ chunk that enters the network float64, and fit_normalizer converts
 _NORM_CHUNK values at a time.
 """
 
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import CsilocError, DataFormatError, DegenerateGeometryError
 from .layers import _fan_out, _parts
-from .npyio import map_readonly, read_npy, replace_file, write_npy
+from .npyio import json_is, map_readonly, read_json_object, read_npy, replace_file, write_json, write_npy
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -118,8 +117,6 @@ def make_output_dir(directory):
 
 
 CANONICAL_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
-# every name write_canonical writes: each blob goes to <name>.tmp first, then is renamed
-CANONICAL_OUTPUTS = (*CANONICAL_FILES, *(f"{name}.tmp" for name in CANONICAL_FILES[1:]))
 
 
 def write_canonical(directory, ds: Dataset, rows=None):
@@ -144,7 +141,7 @@ def write_canonical(directory, ds: Dataset, rows=None):
         "bandwidth_hz": ds.bandwidth_hz,
         "frame": ds.frame,
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, meta)
     for path, arr in zip(blob_paths, (ds.csi.transpose(0, 2, 3, 1), ds.snr, ds.pos)):
         with replace_file(path) as f:
             if rows is None:
@@ -156,31 +153,20 @@ def write_canonical(directory, ds: Dataset, rows=None):
                 np.ascontiguousarray(arr[rows[lo:lo + step]], dtype="<f4").tofile(f)
 
 
-_META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": (int, float),
-               "bandwidth_hz": (int, float), "frame": str}
+_META_TYPES = {"n": int, "antennas": int, "subcarriers": int, "fc_hz": float,
+               "bandwidth_hz": float, "frame": str}
 
 
 def load_canonical(directory) -> Dataset:
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    if not meta_path.is_file():
-        raise DataFormatError(f"{directory}: missing meta.json")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as e:
-        raise DataFormatError(f"{meta_path}: malformed JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{meta_path}: not a JSON object")
-    for key in ("format_version", *_META_TYPES):
-        if key not in meta:
-            raise DataFormatError(f"{meta_path}: missing field {key!r}")
-    if meta["format_version"] != 1:
-        raise DataFormatError(f"{meta_path}: unsupported format_version {meta['format_version']}")
+    meta = read_json_object(meta_path, DataFormatError)
+    if meta.get("format_version") != 1:
+        raise DataFormatError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     for key, types in _META_TYPES.items():
-        value = meta[key]
-        if (isinstance(value, bool) or not isinstance(value, types)   # a number is finite, >= 0
-                or types is not str and not 0 <= value <= sys.float_info.max):
-            raise DataFormatError(f"{meta_path}: field {key!r} has a wrong type or value: {value!r}")
+        value = meta.get(key)   # None if missing; a number is finite, >= 0
+        if not json_is(value, types) or types is not str and not 0 <= value <= sys.float_info.max:
+            raise DataFormatError(f"{meta_path}: field {key!r} missing, or of a wrong type or value: {value!r}")
     n, a, w = meta["n"], meta["antennas"], meta["subcarriers"]
 
     def mapped(name, count):

@@ -12,7 +12,6 @@ which values below the MDE are possible; summary.json documents this so the
 two conventions cannot be confused.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -22,6 +21,7 @@ from .data import Dataset, NormStats, apply_normalizer, make_output_dir
 from .errors import CsilocError
 from .layers import _SPLIT_FLOOR, _fan_out, _parts, _threads
 from .models import count_weights
+from .npyio import replace_file, write_json
 
 _EVAL_CHUNK = 256
 
@@ -129,10 +129,10 @@ RMSE_NOTE = ("rmse_m is the root of the mean squared 3-D distance error and can 
 
 def write_csv(path, header, rows):
     """Write header and rows as CSV; floats as repr(float(v)), so they read back exactly."""
-    with open(path, "w", newline="\n") as f:
+    with replace_file(path) as f:
         for row in [header, *rows]:
-            f.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                             for v in row) + "\n")
+            f.write((",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n").encode())
 
 
 REPORT_FILES = ("cdf.csv", "err_hist.csv", "quiver.csv", "summary.json")
@@ -170,5 +170,5 @@ def emit_reports(report: EvalReport, out_dir):
         "model": report.metadata.get("model"),
         "rmse_definition_note": RMSE_NOTE,
     }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(summary_path, summary)
     return {"cdf": cdf_path, "err_hist": hist_path, "quiver": quiver_path, "summary": summary_path}

@@ -25,10 +25,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import round_half_up
-from .errors import CheckpointError, DataFormatError, ShapeError
+from .errors import CheckpointError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit, conv_out_width
 from .network import Network, count_weights
-from .npyio import map_readonly, replace_file
+from .npyio import json_is, map_readonly, read_json_object, replace_file
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
 
@@ -268,18 +268,11 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad magic; not a CSILOC1 checkpoint")
     if not line.endswith(b"\n"):
         raise CheckpointError(f"{path}: missing header line")
-    try:
-        header = json.loads(line[:-1].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise CheckpointError(f"{path}: malformed header: {e}") from e
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    for key in ("kind", "arch", "input_shape", "layers"):
-        if key not in header:
-            raise CheckpointError(f"{path}: header missing {key!r}")
-    for key, types in (("arch", dict), ("input_shape", list), ("norm_scale", (int, float, type(None)))):
-        if not isinstance(header.get(key), types) or isinstance(header.get(key), bool):
-            raise CheckpointError(f"{path}: header {key!r} has the wrong type")
+    header = read_json_object(path, CheckpointError, "header", line[:-1])
+    for key, *types in (("kind", str), ("arch", dict), ("input_shape", list), ("layers", list),
+                        ("norm_scale", float, type(None))):   # only norm_scale may be missing
+        if not json_is(header.get(key), *types):
+            raise CheckpointError(f"{path}: header {key!r} is missing or has the wrong type")
     scale = header.get("norm_scale")
     if scale is not None and not 0 < scale <= sys.float_info.max:
         raise CheckpointError(f"{path}: header 'norm_scale' must be finite and > 0, got {scale!r}")
@@ -310,10 +303,7 @@ def load_checkpoint(path):
     if declared != rebuilt:
         raise CheckpointError(f"{path}: header layer list does not match rebuilt architecture")
 
-    try:
-        blob = map_readonly(path, np.uint8, size)
-    except DataFormatError as e:
-        raise CheckpointError(str(e)) from e
+    blob = map_readonly(path, np.uint8, size, error=CheckpointError)
     for label, p in net.named_params():
         (count,) = struct.unpack_from("<Q", blob, offset)
         if count != p.size:

@@ -1,5 +1,5 @@
-"""Minimal NPY v1.0 reader/writer over numpy.lib.format, and the two rules
-every reader and writer of bulk data in csiloc follows.
+"""Minimal NPY v1.0 reader/writer over numpy.lib.format, the JSON reader, and
+the two file rules: bulk inputs are mapped, and every output is replaced.
 
 Only the subset this pipeline exchanges is supported: C-order arrays of
 little-endian float32, float64 or complex64. Anything else (v2.0 headers,
@@ -11,8 +11,14 @@ Bulk inputs are mapped read-only, not read (map_readonly). A read past the
 end of a mapped file truncated under it kills the process (SIGBUS), so every
 output is written beside its target and renamed over it (replace_file): a
 mapping of the old file keeps the old inode and its bytes.
+
+Every JSON input (meta.json, --config, a checkpoint header) is one object,
+read by read_json_object: strict UTF-8 (json.loads would take UTF-16 bytes
+too), then json.loads; any failure, deep nesting included, is a typed error.
+json_is checks each value's type, and a bool is never a number.
 """
 
+import json
 import math
 import os
 import tokenize
@@ -28,28 +34,62 @@ from .errors import DataFormatError
 SUPPORTED_DESCRS = ("<f4", "<f8", "<c8")
 
 
-def map_readonly(path, dtype, count, offset=0):
+def map_readonly(path, dtype, count, offset=0, error=DataFormatError):
     """count values of dtype at byte offset of path, which the caller has checked holds
-    them, as a read-only np.memmap; none is made for count 0 (mmap refuses an empty file)."""
+    them, as a read-only np.memmap; none is made for count 0 (mmap refuses an empty file).
+    An OSError raises error, the caller's CsilocError."""
     if count == 0:
         return np.frombuffer(b"", dtype=dtype)
     try:
         return np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
     except OSError as e:
-        raise DataFormatError(f"{path}: cannot map: {e.strerror or e}") from e
+        raise error(f"{path}: cannot map: {e.strerror or e}") from e
+
+
+def tmp_sibling(path):
+    """The file replace_file writes before it renames it over path."""
+    return Path(f"{path}.tmp")
 
 
 @contextmanager
 def replace_file(path):
-    """A binary file, f"{path}.tmp", renamed over path when the block ends without error:
-    a failed or killed write leaves the old file whole."""
-    tmp = Path(f"{path}.tmp")
+    """A binary file, tmp_sibling(path), renamed over path when the block ends without
+    error: a failed or killed write leaves the old file whole."""
+    tmp = tmp_sibling(path)
     try:
         with open(tmp, "wb") as f:
             yield f
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, value):
+    """value as JSON indented by two, keys sorted, and a final newline, replacing path."""
+    with replace_file(path) as f:
+        f.write(json.dumps(value, indent=2, sort_keys=True).encode() + b"\n")
+
+
+def read_json_object(path, error, what="JSON", blob=None):
+    """The JSON object in the file at path, or in blob, bytes read from it. Whatever
+    else the bytes hold, or an OSError, raises error (a CsilocError) naming path."""
+    try:
+        value = json.loads((Path(path).read_bytes() if blob is None else blob).decode("utf-8"))
+    except OSError as e:
+        raise error(f"{path}: cannot read: {e.strerror or e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:   # RecursionError: nested too deep
+        raise error(f"{path}: malformed {what}: {e}") from e
+    if not isinstance(value, dict):
+        raise error(f"{path}: malformed {what}: not a JSON object")
+    return value
+
+
+def json_is(value, *types):
+    """isinstance(value, types) for a value decoded from JSON: a bool is never a number,
+    and float stands for any number, since JSON has one number type."""
+    if float in types:
+        types += (int,)
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def read_npy(path):

@@ -495,7 +495,9 @@ class TestPathInputs:
         ("split", "train/meta.json"), ("split", "eval/snr.f32"), ("split", "train/pos.f32.tmp"),
         ("split", "manifest.json"), ("train", "model.ckpt"), ("train", "model.ckpt.tmp"),
         ("train", "history.csv"), ("train", "manifest.json"), ("eval", "cdf.csv"),
-        ("eval", "summary.json"), ("eval", "manifest.json")])
+        ("eval", "summary.json"), ("eval", "manifest.json"),
+        ("gen", "meta.json.tmp"), ("split", "manifest.json.tmp"), ("train", "history.csv.tmp"),
+        ("eval", "summary.json.tmp")])
     def test_output_name_a_directory_fails_before_work(self, tmp_path, capsys, monkeypatch, command, name):
         args = self.workspace(tmp_path)[command]
         capsys.readouterr()
@@ -510,6 +512,64 @@ class TestPathInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(blocked) in lines[0]
         assert [p for p in args["--out"].rglob("*") if p.is_file()] == []
+
+
+# a JSON array nested past Python's recursion limit: json.dumps of one would itself recurse
+NESTED = "[" * 100000 + "]" * 100000
+
+
+class TestNestedJson:
+    """JSON nested too deep for json.loads, in any of the three JSON inputs, fails with one
+    csiloc line: json.loads raises RecursionError on it, which is no ValueError."""
+
+    @staticmethod
+    def one_line(capsys, command):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: "), lines
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["split", "train", "eval"])
+    def test_meta_json(self, tmp_path, capsys, command):
+        data, ckpt = gen_small(tmp_path), tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model("linear", {}, (2, 16, 16)), norm_scale=1.0)
+        (data / "meta.json").write_text(NESTED)
+        capsys.readouterr()
+        args = {"split": ("--data", data, "--kind", "random"), "train": ("--train", data, "--model", "linear"),
+                "eval": ("--checkpoint", ckpt, "--eval", data)}[command]
+        assert run(command, *args, "--out", tmp_path / "out") == 1
+        assert "meta.json: malformed JSON: maximum recursion depth" in self.one_line(capsys, command)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "count-weights"])
+    def test_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(NESTED)
+        args = ("--train", gen_small(tmp_path), "--out", tmp_path / "out") if command == "train" else ()
+        capsys.readouterr()
+        assert run(command, "--model", "linear", "--config", cfg, *args) == 1
+        assert "cfg.json: malformed JSON: maximum recursion depth" in self.one_line(capsys, command)
+
+    def test_checkpoint_header(self, tmp_path, capsys):
+        data, ckpt = gen_small(tmp_path), tmp_path / "m.ckpt"
+        ckpt.write_bytes(b"CSILOC1\n" + NESTED.encode() + b"\n")
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--eval", data, "--out", tmp_path / "out") == 1
+        assert "m.ckpt: malformed header: maximum recursion depth" in self.one_line(capsys, "eval")
+
+
+def test_architecture_too_large_to_allocate(tmp_path, capsys):
+    """A head of 10^12 units over a W=64 cnn4 asks numpy for 3.07 PiB of weights, more
+    than any address space holds, so the allocation fails at once; train exits 1 with one
+    line. Only a size no machine can try to allocate belongs in this test."""
+    data = tmp_path / "data"
+    assert run("gen", "--out", data, "--samples", 60, "--subcarriers", 64) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"base_filters": 8, "kernel": 5, "stride": 2, "head_units": 1000000000000}))
+    capsys.readouterr()
+    assert run("train", "--train", data, "--model", "cnn4", "--config", cfg, "--out", tmp_path / "out") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("csiloc train: Unable to allocate 3.07 PiB"), lines
+    assert not (tmp_path / "out").exists()
 
 
 def read_config(name):

@@ -255,6 +255,17 @@ class TestEmitReports:
         assert summary["rmse_m"] >= summary["mde_m"]
         assert "sqrt(3)" in summary["rmse_definition_note"]
 
+    def test_summary_that_fails_keeps_the_old_file(self, tmp_path):
+        """summary.json is replaced, not truncated: a value it cannot encode leaves the old
+        file whole, and no summary.json.tmp."""
+        report = self.make_report()
+        report.metadata["weights"] = object()
+        (tmp_path / "summary.json").write_bytes(b"old")
+        with pytest.raises(TypeError):
+            emit_reports(report, tmp_path)
+        assert (tmp_path / "summary.json").read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_byte_identical_across_runs(self, tmp_path):
         report = self.make_report()
         a = emit_reports(report, tmp_path / "a")

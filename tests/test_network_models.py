@@ -196,6 +196,35 @@ def test_pool_submits_only_in_fan_out():
                      ("layers.py", "submit", "_fan_out")]
 
 
+def _file_uses(node, function=None):
+    """(use, innermost function) for each json.loads, write_text or write_bytes call, and
+    each open call whose mode is not a read-only constant, under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("loads", "write_text", "write_bytes"):
+            yield name, function
+        if name == "open":
+            # open(path, mode) or path.open(mode); no mode reads
+            at = 0 if isinstance(func, ast.Attribute) else 1
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                yield "open to write", function
+    for child in ast.iter_child_nodes(node):
+        yield from _file_uses(child, function)
+
+
+def test_one_json_reader_and_one_file_writer():
+    """npyio.read_json_object is the one place src/csiloc parses JSON, and npyio.replace_file
+    the one place it opens a file to write: every output is renamed over its target."""
+    found = [(path.name, use, function) for path in sorted(Path(models.__file__).parent.glob("*.py"))
+             for use, function in _file_uses(ast.parse(path.read_text()))]
+    assert found == [("npyio.py", "open to write", "replace_file"), ("npyio.py", "loads", "read_json_object")]
+
+
 def test_every_import_is_used():
     """Each name a src/csiloc module imports is used in that module. models imports
     count_weights only to re-export it beside build_model, for the package and evaluation;

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from csiloc.cli import main
 from csiloc.data import export_npy, generate_synthetic, import_npy, SynthConfig
 from csiloc.errors import DataFormatError
-from csiloc.npyio import SUPPORTED_DESCRS, read_npy, write_npy
+from csiloc.evaluation import write_csv
+from csiloc.npyio import (SUPPORTED_DESCRS, json_is, read_json_object, read_npy, tmp_sibling,
+                          write_json, write_npy)
 
 
 def craft_header(path, header, payload=b"", version=(1, 0)):
@@ -202,6 +205,56 @@ def test_property_only_typed_errors(tmp_path):
         assert arr.dtype.str in SUPPORTED_DESCRS and arr.flags.c_contiguous
 
     check()
+
+
+class TestJson:
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
+    def test_reader_takes_only_utf8(self, tmp_path, encoding):
+        """Given bytes, json.loads would detect UTF-16 and UTF-32 and take them."""
+        path = tmp_path / "x.json"
+        path.write_bytes(json.dumps({"n": 1}).encode(encoding))
+        with pytest.raises(DataFormatError, match="malformed JSON"):
+            read_json_object(path, DataFormatError)
+
+    @pytest.mark.parametrize("value, types, ok", [
+        (True, (int,), False), (False, (float, type(None)), False), (1, (float,), True),
+        (1.5, (int,), False), (None, (float, type(None)), True), (7, (int,), True), ("7", (int,), False),
+    ], ids=repr)
+    def test_type_check(self, value, types, ok):
+        """A bool is never a number, and any number is a float."""
+        assert json_is(value, *types) is ok
+
+
+class TestTornWrite:
+    """A text output whose writing fails part-way keeps its old bytes, and no .tmp is left:
+    it is written through replace_file, never truncated in place."""
+
+    OLD = b"old bytes\n"
+
+    def old_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(self.OLD)
+        return path
+
+    def assert_kept(self, path):
+        assert path.read_bytes() == self.OLD
+        assert not tmp_sibling(path).exists()
+
+    def test_csv_rows_fail_after_the_first(self, tmp_path):
+        path = self.old_file(tmp_path, "history.csv")
+
+        def rows():
+            yield (1, 0.5, 0.25)
+            raise RuntimeError("no second row")
+        with pytest.raises(RuntimeError, match="no second row"):
+            write_csv(path, ["epoch", "train_mde", "monitor_mde"], rows())
+        self.assert_kept(path)
+
+    def test_json_value_fails_to_encode(self, tmp_path):
+        path = self.old_file(tmp_path, "meta.json")
+        with pytest.raises(TypeError):
+            write_json(path, {"n": 1, "frame": object()})
+        self.assert_kept(path)
 
 
 class TestRoundTrips:
