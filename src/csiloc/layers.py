@@ -8,14 +8,17 @@ only, so H is never padded, strided or pooled.
 The convolution and pooling forwards accumulate channel-outer, tap-inner and
 add the bias last, which makes them bit-identical to a naive nested-loop
 reference (same sequence of IEEE multiply/adds per output element). The conv
-forward runs that sequence in a filter-major (F, B*H*W_out) accumulator: per
-(channel, tap) it copies the strided input window into one contiguous row,
-multiplies it by the tap's filter column and adds the product, so every ufunc
-sweeps long contiguous runs. A small ufunc buffer (_ROW_BUFFER) keeps numpy
-from buffering that broadcast multiply when rows are short, as at desk width.
+forward runs that sequence one tile at a time, in a filter-major (F, cols)
+accumulator of whole samples, or of a range of antenna rows of one sample,
+whose buffers fit _TILE bytes: per (channel, tap) it copies the strided input
+window into one contiguous row, multiplies it by the tap's filter column and
+adds the product, all within a core's cache. The bias add writes the tile
+straight into the output, so a forward holds one output-sized array. A small
+ufunc buffer (_ROW_BUFFER) keeps numpy from buffering that broadcast multiply
+when rows are short, as at desk width.
 Up to CSILOC_THREADS threads run that sequence at once, each over its own
-batch slice of the accumulator's columns (slices of at least _SPLIT_FLOOR
-output elements), so the output bits do not depend on the thread count. The
+batch slice (slices of at least _SPLIT_FLOOR output elements) with its own
+tile buffers, so the output bits do not depend on the thread count. The
 conv backward is two BLAS products per kernel tap, one for the weight gradient
 and one for the input gradient: equal to the loop only to rounding. On two
 threads the caller runs every tap's weight product while a pool thread runs
@@ -50,8 +53,14 @@ DTYPE = np.float64
 _SPLIT_FLOOR = 1 << 15
 # ufunc buffer of the conv forward's sweep: at numpy's 8192, its (F, 1) x row multiply into
 # a whole (F, n) block is buffered, 3-5x slower per element, when n is under about a third
-# of it (desk rows are 512-2,560). The bits are unchanged. numpy 1.x needs a multiple of 16
+# of it (desk rows are 512-2,560). The bits are unchanged
 _ROW_BUFFER = 256
+# bytes of the conv forward's tile buffers: every (channel, tap) pass of the sweep runs over
+# one tile before the next starts, so the tile stays in a core's L2 (2 MiB on the Xeon it
+# was tuned on). A forward split over threads divides it among its parts, so splitting
+# allocates nothing more. Smaller shares lose on two threads: each short ufunc call hands
+# the GIL across
+_TILE = 1 << 21
 # _fan_out's threads, one per core. Each is marked when it starts, and _threads() is 1 on
 # it: its splits have one part, run by itself, so it never waits on an unstarted task
 _ON_POOL = threading.local()
@@ -133,8 +142,8 @@ class Param:
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=DTYPE, order="C")   # the optimizer updates it flat
-        self.grad = np.zeros_like(self.value)
-        self.vel = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape, dtype=DTYPE)   # calloc: untouched pages until used
+        self.vel = np.zeros(self.value.shape, dtype=DTYPE)
 
     @property
     def size(self):
@@ -238,34 +247,46 @@ class Conv1xK(Layer):
         w_out = conv_out_width(xp.shape[3], self.kernel, self.stride)
         batch, _, height, _ = x.shape
         s, k, f = self.stride, self.kernel, self.filters
-        wv, bias = self.w.value, self.b.value[:, None]
-        hw = height * w_out
-        # filter-major accumulation: acc[f, (b, h, w)] gets 0, then += w[f, c, t] * x
-        # for each (c, t), channel-outer, tap-inner, then the bias (matches naive loop)
-        acc = np.zeros((f, batch * hw), dtype=DTYPE)
-        tmp = np.empty_like(acc)
-        row = np.empty(acc.shape[1], dtype=DTYPE)
+        wv, bias = self.w.value, self.b.value[:, None, None, None]
+        out = np.empty((batch, f, height, w_out), dtype=DTYPE)
+        parts = _parts(batch, f * height * w_out)
+        # a tile column takes f accumulator values, f products and one window value; a tile
+        # is whole samples, or a range of h rows of one sample when a sample is over budget
+        cols = max(_TILE // len(parts) // ((2 * f + 1) * np.dtype(DTYPE).itemsize), w_out)
+        rows = max(1, min(height, cols // w_out))
+        per = max(1, cols // (height * w_out))   # samples per tile
 
-        def sweep(lo, hi):
-            """The whole sequence over samples [lo, hi): their columns of the one buffer."""
-            cols = slice(lo * hw, hi * hw)
-            part, scratch, line = acc[:, cols], tmp[:, cols], row[cols]
-            win = line.reshape(hi - lo, height, w_out)
+        def sweep(lo, hi, acc, prod, row):
+            """The whole sequence over samples [lo, hi), one tile at a time: each tile's
+            acc[f, (b, h, w)] gets 0, then += w[f, c, t] * x for each (c, t),
+            channel-outer, tap-inner, then the bias on its way into out (the naive order)."""
             old = np.setbufsize(_ROW_BUFFER)   # per thread, so set on whichever runs the sweep
             try:
-                for c in range(self.in_channels):
-                    plane = xp[lo:hi, c]
-                    for t in range(k):
-                        win[...] = plane[:, :, t:t + s * w_out:s]
-                        np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
-                        part += scratch
-                part += bias
+                for b0 in range(lo, hi, per):
+                    b1 = min(b0 + per, hi)
+                    for h0 in range(0, height, rows):
+                        h1 = min(h0 + rows, height)
+                        n = (b1 - b0) * (h1 - h0) * w_out
+                        part, scratch = acc[:f * n].reshape(f, n), prod[:f * n].reshape(f, n)
+                        line = row[:n]
+                        win = line.reshape(b1 - b0, h1 - h0, w_out)
+                        part[...] = 0.0
+                        for c in range(self.in_channels):
+                            plane = xp[b0:b1, c, h0:h1]
+                            for t in range(k):
+                                win[...] = plane[:, :, t:t + s * w_out:s]
+                                np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
+                                part += scratch
+                        np.add(part.reshape(f, b1 - b0, h1 - h0, w_out), bias,
+                               out=out[b0:b1, :, h0:h1].transpose(1, 0, 2, 3))
             finally:
                 np.setbufsize(old)
 
-        _fan_out([partial(sweep, lo, hi) for lo, hi in _parts(batch, f * hw)])
-        del tmp  # before the output copy, so at most two output-sized arrays are live
-        out = np.ascontiguousarray(acc.reshape(f, batch, height, w_out).transpose(1, 0, 2, 3))
+        tasks = []
+        for lo, hi in parts:   # each part's buffers, sized to its largest tile
+            n = min(per, hi - lo) * rows * w_out
+            tasks.append(partial(sweep, lo, hi, *(np.empty(size, dtype=DTYPE) for size in (f * n, f * n, n))))
+        _fan_out(tasks)
         self._push(tape, (xp, x.shape[3], left, w_out))
         return out
 

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -207,6 +208,13 @@ BORDER_CASES = {
     "cols2736": ((3, 2, 3, 8, 117, 4, 1, "valid"), (1, 1, 1)),
     "cols4608": ((2, 1, 16, 4, 577, 2, 1, "valid"), (1, 2, 2)),
 }
+# (batch, channels, filters, height, width, kernel, stride, padding) and the columns of
+# one part's tile, which the tests get by setting _TILE
+TILE_CASES = {
+    "h_ranges": ((3, 2, 3, 7, 20, 3, 1, "valid"), 3 * 18),    # 3 of a sample's 7 rows a tile: 3, 3, 1
+    "ragged_batch": ((7, 2, 3, 2, 16, 4, 2, "same"), 3 * 16),  # 3 samples a tile; 7 = 3 + 3 + 1
+    "one_row": ((2, 3, 2, 4, 11, 2, 3, "valid"), 1),           # under one row: a tile is one row
+}
 # a backward splits when its output holds the floor; this one holds 32767
 BACKWARD_SHAPES = {**{name: shape for name, (shape, _) in SPLIT_CASES.items()},
                    "output_under_floor": (1, 1, 7, 31, 152, 2, 1, "valid")}
@@ -285,9 +293,41 @@ class TestConvSplit:
                 peaks[threads] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # the slices are views of one accumulator; the futures cost a few hundred bytes
+        # the parts share one _TILE budget of tile buffers; the futures cost a few hundred bytes
         assert peaks["2"] <= peaks["1"] + 16384, peaks
         assert peaks["1"] > 8 * 16 * 16 * 64 * 8 * 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("shape,cols", list(TILE_CASES.values()), ids=list(TILE_CASES))
+    def test_tiles_bitwise(self, monkeypatch, shape, cols, threads):
+        b, c, f, h, w, k, s, padding = shape
+        monkeypatch.setattr(layers, "_SPLIT_FLOOR", 1)
+        monkeypatch.setattr(layers, "_TILE", cols * (2 * f + 1) * 8 * threads)   # cols a part
+        monkeypatch.setenv("CSILOC_THREADS", str(threads))
+        pool = CountingPool(layers._POOL)
+        monkeypatch.setattr(layers, "_POOL", pool)
+        conv = make_conv(c, f, k, s, padding, seed=70)
+        x = np.random.default_rng(71).standard_normal((b, c, h, w))
+        out = conv.forward(x)
+        assert pool.submits == threads - 1
+        npt.assert_array_equal(out, TestConvForward.naive_batch(conv, x))
+
+    @pytest.mark.parametrize("batch", [48, 128])
+    def test_peak_is_output_input_and_tile(self, monkeypatch, batch):
+        """No output-sized accumulator: past the output and the padded input, a
+        forward holds one tile's buffers."""
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        conv = make_conv(4, 8, 5, 1, "same", seed=72)
+        x = np.random.default_rng(73).standard_normal((batch, 4, 16, 64))
+        conv.forward(x)
+        tracemalloc.start()
+        try:
+            out = conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = x.nbytes // 64 * 68
+        assert peak <= out.nbytes + padded + layers._TILE + 16384, peak
 
     def test_ufunc_buffer_left_as_found(self, monkeypatch):
         """A two-part forward leaves the caller's buffer size and error handling as
@@ -632,6 +672,17 @@ class TestDense:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             Dense(5, 3).forward(np.zeros((2, 4)))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc/self/statm")
+    def test_gradient_and_momentum_left_untouched(self):
+        """A new layer's gradient and momentum take no resident pages until written, so
+        an evaluating process holds the weights alone."""
+        def resident():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        before = resident()
+        d = Dense(2048, 4096, rng=np.random.default_rng(25))   # 64 MiB of weights
+        assert resident() - before < 1.5 * d.w.value.nbytes
 
 
 class TestResidual:
