@@ -1,15 +1,20 @@
 """Operator entry point: generate -> split -> train -> evaluate -> report.
 
-Every command writes a manifest.json next to its outputs with the fully
-resolved parameters and seeds; re-running the same command reproduces the
-numeric outputs bit for bit (timestamps and wall-clock columns aside).
+gen, import, split, train and eval declare the files they write under --out as their
+`outputs` in build_parser. main fails before such a command runs if an output name is a
+directory, then writes manifest.json beside its outputs: the parameters it returns plus
+`out`, the start and end times, wall_seconds, and peak_rss_mb (the process's peak so far).
+Re-running a command reproduces its numeric outputs bit for bit (timestamps and wall-clock
+columns aside). gradcheck and count-weights write no files.
 
 Exit codes: 0 success, 1 numeric/validation failure, 2 usage error.
 """
 
 import argparse
 import datetime
+import resource
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,8 +23,9 @@ from .data import (CANONICAL_FILES, SPLIT_KINDS, NormStats, SplitStrategy, Synth
                    fit_normalizer, generate_synthetic, import_npy, load_canonical, make_output_dir,
                    split, write_canonical)
 from .errors import CsilocError
-from .models import (DEFAULT_ARCH, DEFAULT_INPUT_SHAPE, MODEL_KINDS, ArchConfig, _weights_to_build,
-                     build_model, build_tiny, load_checkpoint, save_checkpoint, weights_millions)
+from .models import (ARCH_FIELDS, DEFAULT_ARCH, DEFAULT_INPUT_SHAPE, MODEL_KINDS, _weights_to_build,
+                     arch_field_ok, build_model, build_tiny, load_checkpoint, save_checkpoint,
+                     weights_millions)
 from . import network
 from .npyio import json_is, read_json_object, tmp_sibling, write_json
 from .train import TrainConfig, train
@@ -52,14 +58,17 @@ def _utc_now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(directory, command, params, started):
+def _write_manifest(directory, command, params, started, ended, wall_seconds):
     write_json(Path(directory) / MANIFEST, {
         "command": command,
         "parameters": params,
         "tool": "csiloc",
         "version": __version__,
         "started_utc": started,
-        "ended_utc": _utc_now(),
+        "ended_utc": ended,
+        "wall_seconds": wall_seconds,
+        # the process's peak so far, in MiB (Linux reports ru_maxrss in KiB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     })
 
 
@@ -79,15 +88,12 @@ def _load_config_file(path):
 def _split_config(flat, kind):
     """Partition a flat config dict into (architecture fields, TrainConfig kwargs). Its
     seed is the CNN init seed, which fcnn and linear do not take; train_seed seeds training."""
-    arch_fields = ArchConfig.__dataclass_fields__
     train_fields = TrainConfig.__dataclass_fields__
     arch, train_kw = {}, {}
     for key, value in flat.items():
         name = "seed" if key == "train_seed" else key
-        if key == "hidden":
-            dest, ok = arch, isinstance(value, list) and all(json_is(u, int) and u >= 1 for u in value)
-        elif key in arch_fields:
-            dest, ok = arch, json_is(value, arch_fields[key].type)
+        if key in ARCH_FIELDS:
+            dest, ok = arch, arch_field_ok(key, value)
         elif name in train_fields:
             dest, ok = train_kw, json_is(value, train_fields[name].type)
         else:
@@ -101,56 +107,37 @@ def _split_config(flat, kind):
 
 
 def cmd_gen(args):
-    started = _utc_now()
     cfg = SynthConfig(num_samples=args.samples, num_subcarriers=args.subcarriers,
                       num_reflectors=args.reflectors, seed=args.seed,
                       snr_db_range=(args.snr_low, args.snr_high))
-    _check_output_names(args.out, CANONICAL_FILES)
     ds = generate_synthetic(cfg)
     write_canonical(args.out, ds)
-    _write_manifest(args.out, "gen", {**asdict(cfg), "out": str(args.out)}, started)
     print(f"wrote {len(ds)} samples ({ds.n_antennas} antennas x {ds.n_subcarriers} subcarriers) to {args.out}")
-    return 0
+    return asdict(cfg)
 
 
 def cmd_import(args):
-    started = _utc_now()
-    _check_output_names(args.out, CANONICAL_FILES)
     ds = import_npy(args.csi, args.snr, args.pos)
     write_canonical(args.out, ds)
-    _write_manifest(args.out, "import", {"csi": str(args.csi), "snr": str(args.snr),
-                                         "pos": str(args.pos), "out": str(args.out)}, started)
     print(f"imported {len(ds)} samples to {args.out}")
-    return 0
+    return {"csi": str(args.csi), "snr": str(args.snr), "pos": str(args.pos)}
 
 
 def cmd_split(args):
-    started = _utc_now()
-    out = Path(args.out)
-    _check_output_names(out, [Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_FILES])
     ds = load_canonical(args.data)
-    strat = SplitStrategy(args.kind, args.fraction, args.seed)
-    train_ids, eval_ids = split(ds, strat)
-    write_canonical(out / "train", ds, train_ids)
-    write_canonical(out / "eval", ds, eval_ids)
-    _write_manifest(out, "split", {"data": str(args.data), "kind": args.kind,
-                                   "fraction": args.fraction, "seed": args.seed,
-                                   "out": str(out), "n_train": len(train_ids),
-                                   "n_eval": len(eval_ids)}, started)
+    train_ids, eval_ids = split(ds, SplitStrategy(args.kind, args.fraction, args.seed))
+    write_canonical(Path(args.out, "train"), ds, train_ids)
+    write_canonical(Path(args.out, "eval"), ds, eval_ids)
     print(f"split {len(ds)} samples -> train {len(train_ids)} / eval {len(eval_ids)} ({args.kind})")
-    return 0
+    return {"data": str(args.data), "kind": args.kind, "fraction": args.fraction, "seed": args.seed,
+            "n_train": len(train_ids), "n_eval": len(eval_ids)}
 
 
 def cmd_train(args):
-    started = _utc_now()
-    _check_output_names(args.out, ("model.ckpt", "history.csv"))
     arch_fields, train_kw = _split_config(_load_config_file(args.config), args.model)
-    if args.seed is not None:
-        train_kw["seed"] = args.seed
-    if args.max_epochs is not None:
-        train_kw["max_epochs"] = args.max_epochs
-    if args.batch_size is not None:
-        train_kw["batch_size"] = args.batch_size
+    for key in ("seed", "max_epochs", "batch_size"):   # a flag given overrides the config file
+        if getattr(args, key) is not None:
+            train_kw[key] = getattr(args, key)
     train_cfg = TrainConfig(**train_kw)
     ds = load_canonical(args.train)
 
@@ -163,20 +150,16 @@ def cmd_train(args):
     save_checkpoint(ckpt, net, norm_scale=norm.scale,
                     meta={"stop_reason": history.stop_reason, "epochs": len(history.records)})
     history.to_csv(out / "history.csv")
-    _write_manifest(out, "train", {"train": str(args.train), "model": args.model,
-                                   "config_file": None if args.config is None else str(args.config),
-                                   "arch": net.arch, "train_config": asdict(train_cfg),
-                                   "out": str(out)}, started)
     last = history.records[-1] if history.records else None
     print(f"trained {args.model} for {len(history.records)} epochs "
           f"(stop: {history.stop_reason}); "
           + (f"final monitor MDE {last.monitor_mde:.4f} m" if last else "no epochs run"))
-    return 0
+    return {"train": str(args.train), "model": args.model,
+            "config_file": None if args.config is None else str(args.config),
+            "arch": net.arch, "train_config": asdict(train_cfg)}
 
 
 def cmd_eval(args):
-    started = _utc_now()
-    _check_output_names(args.out, REPORT_FILES)
     net, norm_scale, _meta = load_checkpoint(args.checkpoint)
     if norm_scale is None:
         raise CsilocError(f"{args.checkpoint} carries no normalizer scale; cannot evaluate")
@@ -184,12 +167,9 @@ def cmd_eval(args):
     report = evaluate(net, ds, NormStats(norm_scale),
                       metadata={"split": args.split_label, "dataset": str(args.eval)})
     emit_reports(report, args.out)
-    _write_manifest(args.out, "eval", {"checkpoint": str(args.checkpoint),
-                                       "eval": str(args.eval), "out": str(args.out),
-                                       "split_label": args.split_label}, started)
     print(f"evaluated {report.n_samples} samples: MDE {report.mde_m:.4f} m, "
           f"RMSE {report.rmse_m:.4f} m, NMDE {report.nmde_percent:.2f} %")
-    return 0
+    return {"checkpoint": str(args.checkpoint), "eval": str(args.eval), "split_label": args.split_label}
 
 
 def cmd_gradcheck(args):
@@ -218,6 +198,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="csiloc",
         description="CSI-fingerprint indoor positioning pipeline")
+    parser.set_defaults(outputs=None)   # the files a command writes under --out, if it writes any
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -228,14 +209,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--snr-low", type=float, default=SynthConfig.snr_db_range[0])
     p.add_argument("--snr-high", type=float, default=SynthConfig.snr_db_range[1])
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, outputs=CANONICAL_FILES)
 
     p = sub.add_parser("import", help="import NPY dumps into the canonical container")
     p.add_argument("--csi", required=True)
     p.add_argument("--snr", required=True)
     p.add_argument("--pos", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_import)
+    p.set_defaults(func=cmd_import, outputs=CANONICAL_FILES)
 
     p = sub.add_parser("split", help="split a dataset into train/ and eval/")
     p.add_argument("--data", required=True)
@@ -243,7 +224,7 @@ def build_parser():
     p.add_argument("--fraction", type=_fraction, default=SplitStrategy.eval_fraction)
     p.add_argument("--seed", type=int, default=SplitStrategy.seed)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, outputs=[Path(sub, name) for sub in ("train", "eval") for name in CANONICAL_FILES])
 
     p = sub.add_parser("train", help="train a model on a canonical dataset")
     p.add_argument("--train", required=True)
@@ -253,14 +234,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--batch-size", type=_positive_int, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=("model.ckpt", "history.csv"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and emit report files")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--eval", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split-label", default="unspecified")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, outputs=REPORT_FILES)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a shrunken model")
     p.add_argument("--model", required=True, choices=list(MODEL_KINDS))
@@ -277,10 +258,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.outputs is None:
+            return args.func(args)
+        started, clock = _utc_now(), time.perf_counter()
+        _check_output_names(args.out, args.outputs)
+        params = {**args.func(args), "out": str(args.out)}
+        _write_manifest(args.out, args.command, params, started, _utc_now(), time.perf_counter() - clock)
+        return 0
     except (CsilocError, ValueError, MemoryError) as e:   # MemoryError: an array too large to allocate
         print(f"csiloc {args.command}: {e or type(e).__name__}", file=sys.stderr)
         return 1

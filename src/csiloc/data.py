@@ -161,7 +161,7 @@ def load_canonical(directory) -> Dataset:
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = read_json_object(meta_path, DataFormatError)
-    if meta.get("format_version") != 1:
+    if meta.get("format_version") != 1 or not json_is(meta["format_version"], int):   # not true, not 1.0
         raise DataFormatError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     for key, types in _META_TYPES.items():
         value = meta.get(key)   # None if missing; a number is finite, >= 0

@@ -71,6 +71,15 @@ DEFAULT_ARCH = {
 }
 
 MODEL_KINDS = ("cnn4", "cnn4r", "cnn4s", "fcnn", "linear")
+ARCH_FIELDS = (*ArchConfig.__dataclass_fields__, "hidden")   # "hidden": fcnn and linear
+
+
+def arch_field_ok(key, value):
+    """Whether value, decoded from JSON, has the type of architecture field key: its
+    ArchConfig annotation, or for hidden a list of integers >= 1. A bool is no number."""
+    if key == "hidden":
+        return isinstance(value, list) and all(json_is(u, int) and u >= 1 for u in value)
+    return json_is(value, ArchConfig.__dataclass_fields__[key].type)
 
 
 def _merged_arch(kind, fields):
@@ -292,6 +301,9 @@ def load_checkpoint(path):
     if held > need:
         raise CheckpointError(f"{path}: {held - need} trailing bytes after parameters")
     try:
+        for key, value in header["arch"].items():
+            if key in ARCH_FIELDS and not arch_field_ok(key, value):
+                raise ValueError(f"arch field {key!r} has the wrong type: {value!r}")
         planned = _weights_to_build(header["kind"], header["arch"], tuple(header["input_shape"]))
         if planned != sum(counts):
             raise CheckpointError(

@@ -1,8 +1,11 @@
+import argparse
+import ast
 import importlib.util
 import json
 import shutil
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from conftest import CONFIGS, desk_arch
 
 
 DATA_FILES = ("meta.json", "csi.f32", "snr.f32", "pos.f32")
+WRITING_COMMANDS = ("gen", "import", "split", "train", "eval")
 
 
 def run(*argv):
@@ -512,6 +516,48 @@ class TestPathInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(blocked) in lines[0]
         assert [p for p in args["--out"].rglob("*") if p.is_file()] == []
+
+
+class TestCommandProtocol:
+    """main checks the output names, runs the command and writes its manifest; no command
+    does any of this itself, so every manifest has one shape."""
+
+    def test_only_main_runs_the_protocol(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        protocol = {"_check_output_names", "_write_manifest", "_utc_now"}
+        callers = {(fn.name, node.func.id) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id in protocol}
+        assert {fn for fn, _ in callers} == {"main"}, callers
+        assert {name for _, name in callers} == protocol
+
+    def test_writing_commands_declare_outputs(self):
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {name for name, p in commands.choices.items() if p.get_default("outputs") is not None}
+        assert declared == set(WRITING_COMMANDS)
+        assert set(commands.choices) - declared == {"gradcheck", "count-weights"}
+
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
+    def test_manifest_of_each_writing_command(self, tmp_path, command):
+        args = TestPathInputs.workspace(tmp_path)[command]
+        assert run(command, *[v for item in args.items() for v in item]) == 0
+        manifest = json.loads((args["--out"] / "manifest.json").read_text())
+        assert manifest["command"] == command and manifest["tool"] == "csiloc"
+        assert manifest["parameters"]["out"] == str(args["--out"])
+        assert manifest["wall_seconds"] >= 0 and manifest["peak_rss_mb"] > 0
+        assert manifest["started_utc"] <= manifest["ended_utc"]
+
+    @pytest.mark.parametrize("argv", [("gradcheck", "--model", "linear"),
+                                      ("count-weights", "--model", "linear")])
+    def test_commands_without_outputs_write_no_manifest(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+
+        def no_protocol(*a, **k):
+            raise AssertionError(f"{argv[0]} ran the output protocol")
+        for name in ("_check_output_names", "_write_manifest"):
+            monkeypatch.setattr(cli, name, no_protocol)
+        assert run(*argv) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 # a JSON array nested past Python's recursion limit: json.dumps of one would itself recurse

@@ -150,7 +150,9 @@ class TestCanonicalContainer:
                                       # split would write a NaN or infinite band field as invalid JSON
                                       {"fc_hz": float("nan")}, {"fc_hz": float("inf")}, {"fc_hz": -1.25e9},
                                       {"bandwidth_hz": float("nan")}, {"bandwidth_hz": float("-inf")},
-                                      {"bandwidth_hz": -20e6}])
+                                      {"bandwidth_hz": -20e6},
+                                      # equal to 1 in Python, but a bool is no number, 1.0 no integer
+                                      {"format_version": True}, {"format_version": 1.0}])
     def test_malformed_meta_typed(self, tmp_path, capsys, edit):
         write_canonical(tmp_path / "d", tiny_dataset(n=6))
         meta_path = tmp_path / "d" / "meta.json"

@@ -696,6 +696,16 @@ class TestCheckpointBounds:
         _rejected_in_small_memory(
             _edited_checkpoint(tmp_path, build_tiny("cnn4r")[0], lambda h: h["arch"].update(arch)))
 
+    @pytest.mark.parametrize("field", ["seed", "residual_units_per_block", "growth"])
+    def test_bool_arch_value_rejected(self, tmp_path, field):
+        """true in the header's arch, where a saved 1 or 1.0 would build the same layers,
+        is rejected as --config rejects it: a bool is no number."""
+        net = build_model("cnn4r", {**models._TINY["cnn4r"], "seed": 1, "residual_units_per_block": 1,
+                                    "growth": 1.0}, models._TINY_INPUT_SHAPE)
+        path = _edited_checkpoint(tmp_path, net, lambda h: h["arch"].update({field: True}))
+        with pytest.raises(CheckpointError, match=f"cannot rebuild model: arch field '{field}' has the wrong type"):
+            load_checkpoint(path)
+
     def test_negative_head_cannot_cancel_huge_convs(self, tmp_path):
         """The count is affine in head_units; a negative one cancels all but a remainder
         of the conv weights, and the header declares just that remainder."""
