@@ -145,10 +145,13 @@ def cmd_train(args):
 
     norm = fit_normalizer(ds)
     out = make_output_dir(args.out)
-    ckpt = out / "model.ckpt"
-    net, history = train(net, ds, train_cfg, norm, checkpoint_path=ckpt)
-    save_checkpoint(ckpt, net, norm_scale=norm.scale,
-                    meta={"stop_reason": history.stop_reason, "epochs": len(history.records)})
+
+    def save(meta):   # the one checkpoint writer: at each improvement, then the restored best weights
+        save_checkpoint(out / "model.ckpt", net, norm_scale=norm.scale, meta=meta)
+
+    net, history = train(net, ds, train_cfg, norm,
+                         on_improve=lambda epoch, monitor: save({"epoch": epoch, "monitor_mde": monitor}))
+    save({"stop_reason": history.stop_reason, "epochs": len(history.records)})
     history.to_csv(out / "history.csv")
     last = history.records[-1] if history.records else None
     print(f"trained {args.model} for {len(history.records)} epochs "

@@ -198,12 +198,24 @@ class Layer:
                 "param_shapes": [list(p.value.shape) for p in self.params()]}
 
 
-def _he_uniform(rng, shape, fan_in):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+class _Weighted(Layer):
+    """A layer with weights of shape wshape and a bias of wshape[0] entries: the weights
+    He-uniform over fan_in inputs, drawn from rng, or zeros without one; the bias zeros."""
+
+    def __init__(self, wshape, fan_in, rng, label):
+        super().__init__(label)
+        if rng is None:
+            self.w = Param(np.zeros(wshape))
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            self.w = Param(rng.uniform(-bound, bound, size=wshape))
+        self.b = Param(np.zeros(wshape[0]))
+
+    def named_params(self):
+        return [("weights", self.w), ("bias", self.b)]
 
 
-class Conv1xK(Layer):
+class Conv1xK(_Weighted):
     """Convolution with kernel (1, k) and stride (1, s) over the subcarrier axis.
 
     Weights are (filters, in_channels, 1, k); bias one entry per filter.
@@ -221,17 +233,7 @@ class Conv1xK(Layer):
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.label = label
-        wshape = (filters, in_channels, 1, kernel)
-        if rng is None:
-            weights = np.zeros(wshape)
-        else:
-            weights = _he_uniform(rng, wshape, in_channels * kernel)
-        self.w = Param(weights)
-        self.b = Param(np.zeros(filters))
-
-    def named_params(self):
-        return [("weights", self.w), ("bias", self.b)]
+        super().__init__((filters, in_channels, 1, kernel), in_channels * kernel, rng, label)
 
     def _pad(self, width):
         if self.padding == "same":
@@ -360,9 +362,9 @@ class AvgPool1xP(Layer):
     fields = ("pool", "stride")
 
     def __init__(self, pool, stride, label=""):
+        super().__init__(label)
         self.pool = pool
         self.stride = stride
-        self.label = label
 
     def forward(self, x, tape=None):
         if x.ndim != 4:
@@ -388,6 +390,8 @@ class AvgPool1xP(Layer):
         return gx
 
     def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise ShapeError(f"avgpool expects (C,H,W), got {in_shape}")
         c, h, w = in_shape
         return (c, h, conv_out_width(w, self.pool, self.stride))
 
@@ -407,11 +411,13 @@ class Flatten(Layer):
         return grad_out.reshape(self._pop(tape))
 
     def out_shape(self, in_shape):
+        if len(in_shape) != 3:
+            raise ShapeError(f"flatten expects (C,H,W), got {in_shape}")
         c, h, w = in_shape
         return (c * h * w,)
 
 
-class Dense(Layer):
+class Dense(_Weighted):
     """Affine map: out = x @ W.T + b with W of shape (units, in_features)."""
 
     kind = "dense"
@@ -420,16 +426,7 @@ class Dense(Layer):
     def __init__(self, in_features, units, rng=None, label=""):
         self.in_features = in_features
         self.units = units
-        self.label = label
-        if rng is None:
-            weights = np.zeros((units, in_features))
-        else:
-            weights = _he_uniform(rng, (units, in_features), in_features)
-        self.w = Param(weights)
-        self.b = Param(np.zeros(units))
-
-    def named_params(self):
-        return [("weights", self.w), ("bias", self.b)]
+        super().__init__((units, in_features), in_features, rng, label)
 
     def forward(self, x, tape=None):
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -473,9 +470,9 @@ class ResidualUnit(Layer):
     fields = ("filters", "kernel")
 
     def __init__(self, filters, kernel, rng=None, label=""):
+        super().__init__(label)
         self.filters = filters
         self.kernel = kernel
-        self.label = label
         self.conv_a = Conv1xK(filters, filters, kernel, stride=1, padding="same",
                               rng=rng, label=label + ".conv_a")
         self.relu_mid = ReLU(label=label + ".relu_mid")

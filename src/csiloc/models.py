@@ -148,11 +148,13 @@ def _conv_stage(layers, shape, name, filters, stride, kernel, rng, units=None):
 
 
 def _check_sizes(name, values, least=1):
-    """TypeError unless each of values is an int, ValueError unless each is >= least.
+    """TypeError unless each of values is an int and no bool, ValueError unless each is >= least.
 
-    build_model and _weights_to_build check every size here, so each term of the
-    loader's weight count is nonnegative and no value can cancel another.
+    build_model, _weights_to_build and the loader's param_shapes check every size here, so
+    each term of the loader's weight count is nonnegative and no value can cancel another.
     """
+    if any(isinstance(v, bool) for v in values):
+        raise TypeError(f"{name} must be integers, not bools, got {list(values)}")
     if any(operator.index(v) < least for v in values):
         raise ValueError(f"{name} must be integers >= {least}, got {list(values)}")
 

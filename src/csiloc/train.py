@@ -13,7 +13,6 @@ from functools import partial
 
 import numpy as np
 
-from . import models
 from .data import NormStats, apply_normalizer, round_half_up
 from .errors import TrainingDivergedError
 from .evaluation import mde, predict, write_csv
@@ -133,13 +132,14 @@ def _batched_mde(net, x, y, norm):
     return mde(np.linalg.norm(predict(net, x, norm) - y, axis=1))
 
 
-def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, checkpoint_path=None):
+def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, on_improve=None):
     """Train in place; returns (net, TrainHistory) with best-monitor weights restored.
 
     Each batch gathered from the raw ds is divided by norm. monitor_fn(net,
     epoch) may replace the internal-holdout monitor (used by tests to drive
-    the schedule). With checkpoint_path set, the weights and norm's scale are
-    written there every time the monitor improves.
+    the schedule). on_improve(epoch, monitor), if given, is called every time
+    the monitor improves, while net holds the improved weights. A non-finite
+    loss or gradient raises TrainingDivergedError carrying the history so far.
     """
     _threads()  # a malformed CSILOC_THREADS fails here, not after the first epoch
     n = len(ds)
@@ -165,32 +165,29 @@ def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, check
         order = tr_ids[rng.permutation(len(tr_ids))]
         running = 0.0
         lr_used = sched.lr
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]   # gathered per batch: a whole-set gather is a full copy
-            net.zero_grads()
-            tape = []
-            pred = net.forward(apply_normalizer(ds.csi[batch], norm), tape)
-            loss, grad = mde_loss(pred, ds.pos[batch])
-            if not np.isfinite(loss):
-                history.stop_reason = "diverged"
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch}", history)
-            net.backward(grad, tape)
-            try:
+        try:
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]   # gathered per batch: a whole-set gather is a full copy
+                net.zero_grads()
+                tape = []
+                pred = net.forward(apply_normalizer(ds.csi[batch], norm), tape)
+                loss, grad = mde_loss(pred, ds.pos[batch])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError("non-finite loss")
+                net.backward(grad, tape)
                 sgd_momentum_step(params, sched.lr, cfg.momentum)
-            except TrainingDivergedError as e:
-                history.stop_reason = "diverged"
-                raise TrainingDivergedError(f"{e} (epoch {epoch})", history) from e
-            running += loss * len(batch)
+                running += loss * len(batch)
+        except TrainingDivergedError as e:
+            history.stop_reason = "diverged"
+            raise TrainingDivergedError(f"{e} in epoch {epoch}", history) from e
         train_mde = running / len(order)
         monitor = monitor_fn(net, epoch) if monitor_fn else _batched_mde(net, x_mon, y_mon, norm)
         improved, should_stop = sched.update(monitor)
         if monitor < best_monitor:
             best_monitor = monitor
             best_values = net.snapshot()
-            if checkpoint_path is not None:
-                models.save_checkpoint(checkpoint_path, net, norm_scale=norm.scale,
-                                       meta={"epoch": epoch, "monitor_mde": monitor})
+            if on_improve is not None:
+                on_improve(epoch, monitor)
         history.records.append(EpochRecord(epoch, train_mde, monitor, lr_used,
                                            time.perf_counter() - tick))
         if should_stop:

@@ -12,8 +12,8 @@ import pytest
 
 from csiloc import cli, layers
 from csiloc.cli import main
-from csiloc.data import (Dataset, export_npy, generate_synthetic, load_canonical, SynthConfig,
-                         write_canonical)
+from csiloc.data import (Dataset, export_npy, fit_normalizer, generate_synthetic, load_canonical,
+                         SynthConfig, write_canonical)
 from csiloc.models import DEFAULT_ARCH, build_model, count_weights, load_checkpoint, save_checkpoint
 from csiloc.npyio import write_npy
 from csiloc.train import TrainConfig
@@ -150,6 +150,35 @@ class TestTrain:
         assert len(lines) - 1 <= 5
         net, scale, meta = load_checkpoint(out / "model.ckpt")
         assert net.kind == "linear" and scale > 0
+
+    def test_every_checkpoint_write(self, tmp_path, monkeypatch):
+        """cmd_train makes every model.ckpt write through cli.save_checkpoint: one at each
+        monitor improvement, then one when training ends, each with the fitted norm scale."""
+        data = gen_small(tmp_path, samples=200, seed=1)
+        out, calls = tmp_path / "run", []
+
+        def recorded(path, net, **kw):
+            save_checkpoint(path, net, **kw)
+            calls.append((path, kw, Path(path).read_bytes()))
+        monkeypatch.setattr(cli, "save_checkpoint", recorded)
+        assert run("train", "--train", data, "--model", "linear", "--out", out,
+                   "--seed", "2", "--max-epochs", "6") == 0
+        monitors = [float(row.split(",")[2]) for row in (out / "history.csv").read_text().splitlines()[1:]]
+        improved = [{"epoch": e, "monitor_mde": m} for e, m in enumerate(monitors, start=1)
+                    if m < min(monitors[:e - 1], default=np.inf)]
+        assert len(improved) >= 2
+        assert [kw["meta"] for _, kw, _ in calls] == improved + [{"stop_reason": "max_epochs", "epochs": 6}]
+        scale = fit_normalizer(load_canonical(data)).scale
+        assert all(path == out / "model.ckpt" and kw["norm_scale"] == scale for path, kw, _ in calls)
+        assert calls[-1][2] == (out / "model.ckpt").read_bytes()
+
+    def test_only_cmd_train_writes_checkpoints(self):
+        """No other function in src/csiloc calls save_checkpoint."""
+        callers = [(path.name, fn.name) for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+                   for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "save_checkpoint"]
+        assert callers == [("cli.py", "cmd_train")]
 
     def test_missing_train_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -261,6 +261,14 @@ class TestResidualUnitShape:
             assert unit.out_shape((2, 3, width)) == (2, 3, width)
 
 
+@pytest.mark.parametrize("first", [[], [AvgPool1xP(2, 1)]], ids=["flatten", "avgpool"])
+def test_flat_input_to_a_feature_map_layer_raises_shape_error(first):
+    """A (C, H, W) layer given a per-sample shape of another rank fails in the build's
+    shape walk with ShapeError, as conv and dense do, not with an unpacking ValueError."""
+    with pytest.raises(ShapeError, match=r"expects \(C,H,W\)"):
+        Network([*first, Flatten(), Dense(6, 3)], (2, 3))
+
+
 class TestWeightCounts:
     def test_cnn4_frozen(self):
         net = build_model("cnn4", dict(base_filters=10))
@@ -656,6 +664,15 @@ def test_builders_reject_sizes_below_their_least(kind, arch):
         build_model(kind, arch, (2, 4, 60))
 
 
+@pytest.mark.parametrize("kind,arch,shape", [
+    ("cnn4", {}, (2, True, 60)), ("cnn4r", {"kernel": True}, (2, 4, 60)), ("fcnn", {"hidden": [True]}, (2, 4, 60)),
+], ids=repr)
+def test_builders_reject_bool_sizes(kind, arch, shape):
+    """True == 1, but it is no size: the builders refuse it as the checkpoint loader does."""
+    with pytest.raises(TypeError, match="not bools"):
+        build_model(kind, arch, shape)
+
+
 def _edited_checkpoint(tmp_path, net, edit):
     """Save net, apply edit(header) to the header JSON, write it back; return the path."""
     path = tmp_path / "m.ckpt"
@@ -705,6 +722,21 @@ class TestCheckpointBounds:
         path = _edited_checkpoint(tmp_path, net, lambda h: h["arch"].update({field: True}))
         with pytest.raises(CheckpointError, match=f"cannot rebuild model: arch field '{field}' has the wrong type"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where,match", [("input_shape", "cannot rebuild model"),
+                                             ("param_shapes", "malformed param_shapes")])
+    def test_bool_size_rejected(self, tmp_path, where, match):
+        """true where the tiny cnn4 has a size of 1, its antenna count or a conv's
+        kernel-row dimension, is no size: the header would load if it were read as 1."""
+        def edit(header):
+            if where == "input_shape":
+                header["input_shape"][1] = True
+            else:
+                header["layers"][0]["param_shapes"][0][2] = True
+        net = build_model("cnn4", {**models._TINY["cnn4"], "seed": 1}, (2, 1, 60))
+        assert net.layers[0].describe()["param_shapes"][0] == [2, 2, 1, 3]
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(_edited_checkpoint(tmp_path, net, edit))
 
     def test_negative_head_cannot_cancel_huge_convs(self, tmp_path):
         """The count is affine in head_units; a negative one cancels all but a remainder

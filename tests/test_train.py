@@ -1,5 +1,9 @@
+import ast
+import importlib
 import os
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +14,13 @@ from csiloc.data import Dataset, NormStats, fit_normalizer
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.evaluation import predict
 from csiloc.layers import Param
-from csiloc.models import MODEL_KINDS, build_model, build_tiny, load_checkpoint
+from csiloc.models import MODEL_KINDS, build_model, build_tiny
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
 
 from conftest import CountingPool, StalledPool, desk_arch
+
+train_module = importlib.import_module("csiloc.train")   # the package re-exports train()
 
 
 class TestMdeLoss:
@@ -277,21 +283,41 @@ class TestTrainLoop:
         assert [(r.train_mde, r.monitor_mde, r.lr) for r in h1.records] == \
                [(r.train_mde, r.monitor_mde, r.lr) for r in h2.records]
 
-    def test_each_batch_divided_by_norm(self, tmp_path):
+    def test_each_batch_divided_by_norm(self):
         """Raw CSI under a scale trains as the divided CSI does under none. The CSI is
         3x values of at most 20 significant bits, so its quotient by 3 is exact in float32."""
         ds = linear_task_dataset()
         ds = Dataset(3.0 * np.round(ds.csi * 2.0 ** 12) / 2.0 ** 12, ds.snr, ds.pos)
         cfg = TrainConfig(max_epochs=4, batch_size=16, seed=2)
         arch = {"hidden": [4], "seed": 6}
-        n1, h1 = train(build_model("fcnn", arch, (2, 2, 8)), ds, cfg, NormStats(3.0),
-                       checkpoint_path=tmp_path / "m.ckpt")
+        n1, h1 = train(build_model("fcnn", arch, (2, 2, 8)), ds, cfg, NormStats(3.0))
         n2, h2 = train(build_model("fcnn", arch, (2, 2, 8)), Dataset(ds.csi / 3.0, ds.snr, ds.pos), cfg)
         for a, b in zip(n1.params(), n2.params()):
             npt.assert_array_equal(a.value, b.value)
         assert [(r.train_mde, r.monitor_mde) for r in h1.records] == \
                [(r.train_mde, r.monitor_mde) for r in h2.records]
-        assert load_checkpoint(tmp_path / "m.ckpt")[1] == 3.0
+
+    def test_on_improve_sees_each_improved_net(self):
+        """on_improve(epoch, monitor) runs at each new best monitor, with the net holding
+        that epoch's weights; the last it saw are the weights train() restores."""
+        ds = linear_task_dataset()
+        monitors = [5.0, 4.0, 4.5, 3.0, 3.0, 3.5]   # epochs 1, 2 and 4 improve
+        seen, after = [], []   # (epoch, monitor, weights) at each call; the weights at each monitor
+        net = build_model("linear", {"seed": 3}, (2, 2, 8))
+
+        def monitor_fn(net, epoch):
+            after.append(net.snapshot())
+            return monitors[epoch - 1]
+        _, hist = train(net, ds, TrainConfig(max_epochs=6, batch_size=16, seed=5), monitor_fn=monitor_fn,
+                        on_improve=lambda epoch, monitor: seen.append((epoch, monitor, net.snapshot())))
+        assert [(e, m) for e, m, _ in seen] == [(1, 5.0), (2, 4.0), (4, 3.0)]
+        assert [r.monitor_mde for r in hist.records] == monitors
+        for epoch, _, weights in seen:
+            for a, b in zip(weights, after[epoch - 1], strict=True):
+                npt.assert_array_equal(a, b)
+        for a, b in zip(seen[-1][2], net.snapshot(), strict=True):
+            npt.assert_array_equal(a, b)
+        assert any((a != b).any() for a, b in zip(after[3], after[5]))   # the restore undid epochs 5-6
 
     def test_malformed_thread_cap(self, monkeypatch):
         monkeypatch.setenv("CSILOC_THREADS", "two")
@@ -332,6 +358,33 @@ class TestTrainLoop:
         net = build_model("linear", {"seed": 1}, (2, 2, 8))
         with pytest.raises(ValueError, match="too small"):
             train(net, ds, TrainConfig(batch_size=32))
+
+    @pytest.mark.parametrize("cause,message", [("loss", "non-finite loss in epoch 3"),
+                                               ("gradient", "non-finite gradient .* in epoch 3")])
+    def test_divergence_names_cause_and_epoch(self, monkeypatch, cause, message):
+        """Epoch 2's monitor poisons a weight (so epoch 3's first loss is NaN) or every later
+        gradient (so the real optimizer step refuses it). Either stops the run as diverged,
+        with the finished epochs' history and the epoch named."""
+        poisoned = []
+
+        def monitor_fn(net, epoch):
+            if epoch == 2 and cause == "loss":
+                net.params()[0].value[0, 0] = np.nan
+            elif epoch == 2:
+                poisoned.append(epoch)
+            return 10.0 - epoch
+
+        def sgd(params, lr, momentum):
+            if poisoned:
+                params[-1].grad[0] = np.inf
+            sgd_momentum_step(params, lr, momentum)
+        monkeypatch.setattr(train_module, "sgd_momentum_step", sgd)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(build_model("linear", {"seed": 1}, (2, 2, 8)), linear_task_dataset(),
+                  TrainConfig(max_epochs=5, batch_size=16, seed=2), monitor_fn=monitor_fn)
+        assert re.fullmatch(message, str(err.value))
+        assert err.value.history.stop_reason == "diverged"
+        assert [(r.epoch, r.monitor_mde) for r in err.value.history.records] == [(1, 9.0), (2, 8.0)]
 
     def test_poisoned_weights_divergence(self):
         ds = linear_task_dataset()
@@ -427,3 +480,16 @@ def test_no_submit_from_a_pool_thread(monkeypatch):
     submits.append(pool.submits)
     assert 0 < submits[0] < submits[1] < submits[2]   # each part submits
     assert [name for name in pool.submitters if name.startswith("csiloc-pool")] == []
+
+
+def test_train_writes_no_checkpoint():
+    """train() reports each improvement through on_improve and the CLI writes model.ckpt:
+    train.py imports nothing from models and names no save_checkpoint."""
+    tree = ast.parse(Path(train_module.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | \
+            {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "models" not in modules | imported
+    assert "save_checkpoint" not in names | imported
