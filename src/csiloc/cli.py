@@ -7,7 +7,7 @@ directory, then writes manifest.json beside its outputs: the parameters it retur
 Re-running a command reproduces its numeric outputs bit for bit (timestamps and wall-clock
 columns aside). gradcheck and count-weights write no files.
 
-Exit codes: 0 success, 1 numeric/validation failure, 2 usage error.
+Exit codes: 0 success, 1 numeric/validation failure or a failed write, 2 usage error.
 """
 
 import argparse
@@ -270,7 +270,8 @@ def main(argv=None):
         params = {**args.func(args), "out": str(args.out)}
         _write_manifest(args.out, args.command, params, started, _utc_now(), time.perf_counter() - clock)
         return 0
-    except (CsilocError, ValueError, MemoryError) as e:   # MemoryError: an array too large to allocate
+    # MemoryError: an array too large to allocate; OSError: an output that cannot be written
+    except (CsilocError, ValueError, MemoryError, OSError) as e:
         print(f"csiloc {args.command}: {e or type(e).__name__}", file=sys.stderr)
         return 1
 

@@ -28,9 +28,10 @@ All parallel work, evaluation's chunks included, goes through _fan_out on the
 one pool, _POOL, of one thread per core. A pool thread runs its task alone,
 with a budget of one thread, and writes only into buffers its caller allocated.
 
-Layers keep no per-call state. `forward(x, tape)` pushes what its backward
-needs onto `tape`, a plain list, and `backward(grad_out, tape)` pops it, so
-a network's backward pops in the reverse order of its forward. A layer with
+Layers keep no per-call state. `forward(x, tape)` takes its geometry from
+out_shape and pushes what its backward needs, with its output's shape, onto
+`tape`, a plain list; `backward(grad_out, tape)` pops it, in the reverse order
+of the forward, once grad_out has that shape. A layer with
 parameters takes `input_grad=False` to accumulate their gradients only: no
 one reads the gradient for a network's input. Without a tape (inference)
 nothing is kept: each activation is freed once the next layer is done with
@@ -179,17 +180,21 @@ class Layer:
         With input_grad False (layers with parameters only) it returns None."""
         raise NotImplementedError
 
-    def _push(self, tape, ctx):
+    def _push(self, tape, ctx, out_shape):
         if tape is not None:
-            tape.append((self, ctx))
+            tape.append((self, ctx, out_shape))
 
-    def _pop(self, tape):
+    def _pop(self, tape, grad_out):
+        """Its forward's context, popped from tape once grad_out has that forward's output shape."""
         if not tape or tape[-1][0] is not self:
             raise ShapeError(f"{self.kind} backward without its forward context on the tape")
+        shape = tape[-1][2]
+        if grad_out.shape != shape:
+            raise ShapeError(f"{self.label or self.kind}: gradient shape {grad_out.shape}, expected {shape}")
         return tape.pop()[1]
 
     def out_shape(self, in_shape):
-        """Symbolic per-sample shape walk; raises ShapeError on mismatch."""
+        """Per-sample output shape, or ShapeError: the layer's one shape rule, which forward uses too."""
         raise NotImplementedError
 
     def describe(self):
@@ -241,14 +246,10 @@ class Conv1xK(_Weighted):
         return 0, 0
 
     def forward(self, x, tape=None):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv {self.label or ''} expects (B,{self.in_channels},H,W), got {x.shape}")
+        f, height, w_out = self.out_shape(x.shape[1:])
         left, right = self._pad(x.shape[3])
         xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, right))) if left or right else x
-        w_out = conv_out_width(xp.shape[3], self.kernel, self.stride)
-        batch, _, height, _ = x.shape
-        s, k, f = self.stride, self.kernel, self.filters
+        batch, s, k = x.shape[0], self.stride, self.kernel
         wv, bias = self.w.value, self.b.value[:, None, None, None]
         out = np.empty((batch, f, height, w_out), dtype=DTYPE)
         parts = _parts(batch, f * height * w_out)
@@ -289,14 +290,12 @@ class Conv1xK(_Weighted):
             n = min(per, hi - lo) * rows * w_out
             tasks.append(partial(sweep, lo, hi, *(np.empty(size, dtype=DTYPE) for size in (f * n, f * n, n))))
         _fan_out(tasks)
-        self._push(tape, (xp, x.shape[3], left, w_out))
+        self._push(tape, (xp, x.shape[3], left), out.shape)
         return out
 
     def backward(self, grad_out, tape, input_grad=True):
-        xp, in_width, left, w_out = self._pop(tape)
-        expect = (xp.shape[0], self.filters, xp.shape[2], w_out)
-        if grad_out.shape != expect:
-            raise ShapeError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
+        xp, in_width, left = self._pop(tape, grad_out)
+        w_out = grad_out.shape[3]
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
         # two GEMMs per tap over all channels and filters, on (C, B, H, W) views of xp's memory
         c, wv = self.in_channels, self.w.value
@@ -342,14 +341,11 @@ class ReLU(Layer):
 
     def forward(self, x, tape=None):
         if tape is not None:
-            self._push(tape, x > 0)
+            self._push(tape, x > 0, x.shape)
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out, tape):
-        mask = self._pop(tape)
-        if grad_out.shape != mask.shape:
-            raise ShapeError("relu grad_out shape does not match forward input")
-        return grad_out * mask
+        return grad_out * self._pop(tape, grad_out)
 
     def out_shape(self, in_shape):
         return tuple(in_shape)
@@ -367,22 +363,17 @@ class AvgPool1xP(Layer):
         self.stride = stride
 
     def forward(self, x, tape=None):
-        if x.ndim != 4:
-            raise ShapeError(f"avgpool expects (B,C,H,W), got {x.shape}")
-        w_out = conv_out_width(x.shape[3], self.pool, self.stride)
-        s = self.stride
+        s, w_out = self.stride, self.out_shape(x.shape[1:])[2]
         out = np.zeros(x.shape[:3] + (w_out,), dtype=DTYPE)
         for t in range(self.pool):
             out += x[:, :, :, t:t + s * w_out:s]
         out /= self.pool
-        self._push(tape, (x.shape, w_out))
+        self._push(tape, x.shape, out.shape)
         return out
 
     def backward(self, grad_out, tape):
-        in_shape, w_out = self._pop(tape)
-        if grad_out.shape != in_shape[:3] + (w_out,):
-            raise ShapeError(f"avgpool grad_out shape {grad_out.shape} does not match forward")
-        s = self.stride
+        in_shape = self._pop(tape, grad_out)
+        s, w_out = self.stride, grad_out.shape[3]
         share = grad_out / self.pool
         gx = np.zeros(in_shape, dtype=DTYPE)
         for t in range(self.pool):
@@ -402,13 +393,12 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, tape=None):
-        if x.ndim != 4:
-            raise ShapeError(f"flatten expects (B,C,H,W), got {x.shape}")
-        self._push(tape, x.shape)
-        return x.reshape(x.shape[0], -1)
+        out = x.reshape(x.shape[0], *self.out_shape(x.shape[1:]))
+        self._push(tape, x.shape, out.shape)
+        return out
 
     def backward(self, grad_out, tape):
-        return grad_out.reshape(self._pop(tape))
+        return grad_out.reshape(self._pop(tape, grad_out))
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -429,16 +419,13 @@ class Dense(_Weighted):
         super().__init__((units, in_features), in_features, rng, label)
 
     def forward(self, x, tape=None):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(
-                f"dense {self.label or ''} expects (B,{self.in_features}), got {x.shape}")
-        self._push(tape, x)
-        return x @ self.w.value.T + self.b.value[None, :]
+        self.out_shape(x.shape[1:])
+        out = x @ self.w.value.T + self.b.value[None, :]
+        self._push(tape, x, out.shape)
+        return out
 
     def backward(self, grad_out, tape, input_grad=True):
-        x = self._pop(tape)
-        if grad_out.shape != (x.shape[0], self.units):
-            raise ShapeError("dense grad_out shape does not match forward")
+        x = self._pop(tape, grad_out)
         self.b.grad += grad_out.sum(axis=0)
 
         def weight_grad():

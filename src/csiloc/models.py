@@ -16,7 +16,6 @@ totals land near the published 5.3 / 10.8 / 16.3 million.
 
 import json
 import math
-import operator
 import os
 import struct
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 from .data import round_half_up
 from .errors import CheckpointError, ShapeError
 from .layers import AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit, conv_out_width
-from .network import Network, count_weights
+from .network import Network, _check_sizes, count_weights
 from .npyio import json_is, map_readonly, read_json_object, replace_file
 
 DEFAULT_INPUT_SHAPE = (2, 16, 924)
@@ -145,18 +144,6 @@ def _conv_stage(layers, shape, name, filters, stride, kernel, rng, units=None):
         shape = unit.out_shape(shape)
         layers.append(unit)
     return shape
-
-
-def _check_sizes(name, values, least=1):
-    """TypeError unless each of values is an int and no bool, ValueError unless each is >= least.
-
-    build_model, _weights_to_build and the loader's param_shapes check every size here, so
-    each term of the loader's weight count is nonnegative and no value can cancel another.
-    """
-    if any(isinstance(v, bool) for v in values):
-        raise TypeError(f"{name} must be integers, not bools, got {list(values)}")
-    if any(operator.index(v) < least for v in values):
-        raise ValueError(f"{name} must be integers >= {least}, got {list(values)}")
 
 
 def _cnn_stages(kind, cfg, input_shape):

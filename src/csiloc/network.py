@@ -7,17 +7,34 @@ Training passes a fresh tape (a list) to forward and the same tape to
 backward; inference passes none, so the network keeps no activations.
 """
 
-import numpy as np
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ShapeError
 from .layers import Dense
 
 
+def _check_sizes(name, values, least=1):
+    """TypeError unless each of values is an int and no bool, ValueError unless each is >= least.
+
+    Network, build_model, _weights_to_build and the loader's param_shapes check every size
+    here, so each term of the loader's weight count is nonnegative and no value can cancel another.
+    """
+    if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in values):
+        raise TypeError(f"{name} must be integers (not bools), got {list(values)}")
+    if any(operator.index(v) < least for v in values):
+        raise ValueError(f"{name} must be integers >= {least}, got {list(values)}")
+
+
 class Network:
     def __init__(self, layers, input_shape, kind="custom", arch=None):
         self.layers = list(layers)
-        self.input_shape = tuple(int(v) for v in input_shape)
+        if not self.layers:
+            raise ShapeError("a network needs at least one layer")
+        _check_sizes("input_shape", input_shape)
+        self.input_shape = tuple(operator.index(v) for v in input_shape)   # ints: the checkpoint header is JSON
         self.kind = kind
         self.arch = arch
         shape = self.input_shape

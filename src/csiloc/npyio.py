@@ -54,12 +54,15 @@ def tmp_sibling(path):
 @contextmanager
 def replace_file(path):
     """A binary file, tmp_sibling(path), renamed over path when the block ends without
-    error: a failed or killed write leaves the old file whole."""
+    error: a failed or killed write leaves the old file whole. An OSError from the open,
+    the block's writes or the rename is raised again as an OSError that names path."""
     tmp = tmp_sibling(path)
     try:
         with open(tmp, "wb") as f:
             yield f
         tmp.replace(path)
+    except OSError as e:
+        raise OSError(f"{path}: cannot write: {e.strerror or e}") from e
     finally:
         tmp.unlink(missing_ok=True)
 

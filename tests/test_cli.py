@@ -2,7 +2,12 @@ import argparse
 import ast
 import importlib.util
 import json
+import os
+import resource
 import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -545,6 +550,26 @@ class TestPathInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"csiloc {command}: ") and str(blocked) in lines[0]
         assert [p for p in args["--out"].rglob("*") if p.is_file()] == []
+
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets a Linux file size limit")
+    def test_failed_write_fails_with_one_line(self, tmp_path):
+        """A write that the OS refuses (here a file size limit, set in the child only) fails
+        with one csiloc line naming the file, not a traceback, and leaves no .tmp file."""
+        def limit():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)   # a write past the limit then fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+        src = Path(cli.__file__).parents[1]
+        # no bytecode: a .pyc cut short at the limit would be kept and break later imports
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-m", "csiloc.cli", "gen", "--out", "g", "--samples", "50"],
+                              cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True, text=True,
+                              timeout=120)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 1 and len(lines) == 1, done.stderr
+        assert lines[0].startswith(f"csiloc gen: {Path('g', 'csi.f32')}: cannot write: ")
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestCommandProtocol:

@@ -1,9 +1,12 @@
+import ast
 import os
+import re
 import sys
 import threading
 import tracemalloc
 import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -184,6 +187,8 @@ class TestConvForward:
             conv.forward(np.zeros((1, 1, 1, 5)))  # kernel wider than input
         with pytest.raises(ShapeError):
             conv.forward(np.zeros((1, 2, 1, 20)))  # wrong channel count
+        with pytest.raises(ShapeError):
+            conv.forward(np.zeros((1, 1, 20)))  # no antenna axis
         with pytest.raises(ShapeError):
             conv_out_width(2, 7, 3)
 
@@ -574,6 +579,37 @@ def test_backward_before_forward(layer):
         layer.backward(np.zeros((1, 1, 1, 3)), [])
 
 
+@pytest.mark.parametrize("layer,x_shape,grad_shape", [
+    (Conv1xK(1, 1, 3, 1), (1, 1, 1, 5), (1, 1, 1, 4)),
+    (ReLU(), (2, 3), (3, 2)),
+    (AvgPool1xP(2, 1), (1, 1, 1, 5), (1, 1, 4, 1)),
+    (Flatten(), (1, 2, 1, 3), (6, 1)),   # the same size, transposed
+    (Flatten(), (1, 2, 1, 3), (1, 5)),
+    (Dense(3, 1), (2, 3), (1, 2)),
+    (ResidualUnit(1, 3), (1, 1, 1, 5), (1, 1, 1, 4)),
+], ids=["Conv1xK", "ReLU", "AvgPool1xP", "Flatten-transposed", "Flatten-size", "Dense", "ResidualUnit"])
+def test_backward_rejects_a_gradient_unlike_its_output(layer, x_shape, grad_shape):
+    """A gradient that does not have the shape of the forward's output raises ShapeError
+    naming that shape, and leaves the tape as it was, for every layer."""
+    tape = []
+    out = layer.forward(np.ones(x_shape), tape)
+    entries = list(tape)
+    with pytest.raises(ShapeError, match=re.escape(f"expected {out.shape}")):
+        layer.backward(np.ones(grad_shape), tape)
+    assert tape == entries
+    assert layer.backward(np.ones(out.shape), tape).shape == x_shape and tape == []
+
+
+def test_layers_check_shapes_only_in_the_shape_rule():
+    """Each layer states its shape rule once, in out_shape: a forward takes its geometry
+    from it, and _pop checks every gradient, so no forward or backward raises ShapeError."""
+    tree = ast.parse(Path(layers.__file__).read_text())
+    raisers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "ShapeError"}
+    assert raisers == {"_pop", "conv_out_width", "out_shape"}
+
+
 def test_backward_pops_only_its_own_context():
     first, second = ReLU(), ReLU()
     tape = []
@@ -646,6 +682,15 @@ class TestAvgPool:
     def test_underflow_error(self):
         with pytest.raises(ShapeError):
             AvgPool1xP(4, 2).forward(np.zeros((1, 1, 1, 3)))
+        with pytest.raises(ShapeError):
+            AvgPool1xP(4, 2).forward(np.zeros((1, 8)))   # no feature map
+
+
+class TestFlatten:
+    def test_needs_a_feature_map(self):
+        for shape in ((2, 6), (2, 1, 6), (2, 1, 1, 1, 6)):
+            with pytest.raises(ShapeError, match=r"expects \(C,H,W\)"):
+                Flatten().forward(np.zeros(shape))
 
 
 class TestDense:
@@ -672,6 +717,8 @@ class TestDense:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             Dense(5, 3).forward(np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            Dense(5, 3).forward(np.zeros((2, 1, 5)))   # not flat
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc/self/statm")
     def test_gradient_and_momentum_left_untouched(self):

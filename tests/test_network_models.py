@@ -79,6 +79,28 @@ class TestBuilders:
         with pytest.raises(ShapeError, match=match):
             Network(layers, (5,))
 
+    @pytest.mark.parametrize("shape,error,match", [
+        ((2.9, 1, 3.5), TypeError, "input_shape must be integers"),
+        ((2, True, 3), TypeError, "not bools"),
+        ((2, 0, 3), ValueError, ">= 1"),
+    ], ids=["float", "bool", "zero"])
+    def test_network_rejects_malformed_input_shape(self, shape, error, match):
+        """The size rule of build_model holds for a Network built directly: a float is not
+        truncated to a size."""
+        with pytest.raises(error, match=match):
+            Network([Flatten(), Dense(6, 3)], shape)
+
+    def test_network_needs_a_layer(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            Network([], (3,))
+
+    def test_network_input_shape_of_numpy_ints(self, tmp_path):
+        """numpy integer sizes are stored as ints, so the checkpoint header holds JSON ints."""
+        net = Network([Flatten(), Dense(6, 3)], np.array([2, 1, 3]))
+        assert net.input_shape == (2, 1, 3) and all(type(v) is int for v in net.input_shape)
+        save_checkpoint(tmp_path / "m.ckpt", net)
+        assert json.loads((tmp_path / "m.ckpt").read_bytes().split(b"\n")[1])["input_shape"] == [2, 1, 3]
+
     def test_cnn4r_conv_counts(self):
         net = build_model("cnn4r")
         entries = [l for l in net.layers if isinstance(l, Conv1xK)]
