@@ -137,7 +137,10 @@ def same_padding(width, kernel, stride):
 
 
 class Param:
-    """One trainable tensor with its gradient accumulator and momentum buffer."""
+    """One trainable tensor with its gradient accumulator and momentum buffer.
+
+    Each is made once, here, and then written in place. grad and vel are calloc'd, so
+    a network that is never trained (evaluation) never touches their pages."""
 
     __slots__ = ("value", "grad", "vel")
 
@@ -149,6 +152,16 @@ class Param:
     @property
     def size(self):
         return self.value.size
+
+    def add_product(self, a, b):
+        """grad += a @ b, bit for bit. When every bit of grad is zero, as after zero_grads,
+        the product is written into grad and 0.0 added, with no temporary: IEEE addition
+        commutes, so that is 0.0 + (a @ b), -0.0 turning to +0.0 as the += turns it."""
+        if self.grad.view(np.uint64).any():
+            self.grad += a @ b
+        else:
+            np.matmul(a, b, out=self.grad)
+            self.grad += 0.0
 
 
 class Layer:
@@ -425,12 +438,11 @@ class Dense(_Weighted):
         return out
 
     def backward(self, grad_out, tape, input_grad=True):
+        """The weight gradient goes straight into w.grad (Param.add_product), so a
+        backward after zero_grads makes no weight-sized temporary."""
         x = self._pop(tape, grad_out)
         self.b.grad += grad_out.sum(axis=0)
-
-        def weight_grad():
-            self.w.grad += grad_out.T @ x
-
+        weight_grad = partial(self.w.add_product, grad_out.T, x)
         if not input_grad:
             weight_grad()
             return None

@@ -162,9 +162,8 @@ def _cnn_stages(kind, cfg, input_shape):
             yield f"block{i}", f, cfg.stride, cfg.residual_units_per_block, False
 
 
-def _build_cnn(kind, cfg, input_shape):
+def _build_cnn(kind, cfg, input_shape, rng):
     """Four conv stages, then the head."""
-    rng = np.random.default_rng(cfg.seed)
     layers, shape = [], tuple(input_shape)
     for name, f, stride, units, pooled in _cnn_stages(kind, cfg, shape):
         shape = _conv_stage(layers, shape, name, f, stride, cfg.kernel, rng, units)
@@ -182,15 +181,17 @@ def _fcnn_widths(hidden, input_shape):
     return [math.prod(input_shape), *hidden, 3]
 
 
-def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE):
+def build_model(kind, arch=None, input_shape=DEFAULT_INPUT_SHAPE, *, draw=True):
     """The one model builder, dispatched on the kind string used by checkpoints and
     the CLI. arch holds any subset of the kind's fields; the rest are its defaults.
-    fcnn with no hidden layers builds the linear model."""
+    fcnn with no hidden layers builds the linear model. With draw False the weights
+    are zeros and nothing is drawn, for a loader that overwrites every one."""
     arch = _merged_arch(kind, arch)
+    seeds = np.random.SeedSequence(arch["seed"])   # a bad seed fails whether or not it is drawn from
+    rng = np.random.default_rng(seeds) if draw else None
     if kind in DEFAULT_ARCH:
-        return _build_cnn(kind, ArchConfig(**arch), input_shape)
+        return _build_cnn(kind, ArchConfig(**arch), input_shape, rng)
     hidden, seed = list(arch["hidden"]), arch["seed"]
-    rng = np.random.default_rng(seed)
     labelled = [(f"hidden{i + 1}", units) for i, units in enumerate(hidden)]
     layers = _dense_chain(_fcnn_widths(hidden, input_shape)[0], labelled, rng)
     return Network(layers, input_shape, kind="fcnn" if hidden else "linear",
@@ -252,8 +253,9 @@ def save_checkpoint(path, net, norm_scale=None, meta=None):
 def load_checkpoint(path):
     """Rebuild the network and restore weights; returns (net, norm_scale, meta).
 
-    Only the magic and the header line are read; the weights are copied from a
-    read-only mapping of the file.
+    Only the magic and the header line are read. The network is built with zero
+    weights, nothing drawn, once the header's sizes pass; each weight is then
+    written once, copied from a read-only mapping of the file.
     """
     try:
         with open(path, "rb") as f:
@@ -297,7 +299,7 @@ def load_checkpoint(path):
         if planned != sum(counts):
             raise CheckpointError(
                 f"{path}: header architecture builds {planned} weights, its layers declare {sum(counts)}")
-        net = build_model(header["kind"], header["arch"], tuple(header["input_shape"]))
+        net = build_model(header["kind"], header["arch"], tuple(header["input_shape"]), draw=False)
     except (ValueError, TypeError, ArithmeticError, ShapeError) as e:
         raise CheckpointError(f"{path}: cannot rebuild model: {e}") from e
     rebuilt = [layer.describe() for layer in net.layers]

@@ -140,6 +140,10 @@ def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, on_im
     the schedule). on_improve(epoch, monitor), if given, is called every time
     the monitor improves, while net holds the improved weights. A non-finite
     loss or gradient raises TrainingDivergedError carrying the history so far.
+
+    The best weights are one set, copied from net at the start and overwritten
+    in place on each improvement, so a run holds four arrays of each parameter's
+    size: its value, gradient and velocity, and the best set.
     """
     _threads()  # a malformed CSILOC_THREADS fails here, not after the first epoch
     n = len(ds)
@@ -185,7 +189,8 @@ def train(net, ds, cfg: TrainConfig, norm=NormStats(1.0), monitor_fn=None, on_im
         improved, should_stop = sched.update(monitor)
         if monitor < best_monitor:
             best_monitor = monitor
-            best_values = net.snapshot()
+            for best, p in zip(best_values, params):
+                np.copyto(best, p.value)
             if on_improve is not None:
                 on_improve(epoch, monitor)
         history.records.append(EpochRecord(epoch, train_mde, monitor, lr_used,

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from csiloc import layers
 from csiloc.errors import CsilocError, ShapeError
-from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, ReLU, ResidualUnit,
+from csiloc.layers import (AvgPool1xP, Conv1xK, Dense, Flatten, Param, ReLU, ResidualUnit,
                            conv_out_width, same_padding)
 
 from conftest import (CountingPool, StalledPool, fd_layer_check, naive_avgpool1xp, naive_conv1xk,
@@ -730,6 +730,75 @@ class TestDense:
         before = resident()
         d = Dense(2048, 4096, rng=np.random.default_rng(25))   # 64 MiB of weights
         assert resident() - before < 1.5 * d.w.value.nbytes
+
+    def test_backward_into_a_zeroed_gradient_makes_no_weight_sized_array(self):
+        """The shipped cnn4 head's weight gradient is written into w.grad: a backward
+        after zero_grads allocates under a tenth of the weight bytes."""
+        d = Dense(4896, 1000)
+        rng = np.random.default_rng(26)
+        tape = []
+        d.forward(rng.standard_normal((32, 4896)), tape)
+        grad_out = rng.standard_normal((32, 1000))
+        tracemalloc.start()
+        try:
+            d.backward(grad_out, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * d.w.value.nbytes, (peak, d.w.value.nbytes)
+
+
+def _bits(a):
+    return a.view(np.uint64).copy()
+
+
+class TestAddProduct:
+    """Param.add_product gives grad += a @ b bit for bit, whatever grad holds."""
+
+    @staticmethod
+    def operands(seed):
+        """(a, b) with a transposed, as the dense backward passes grad_out.T: a @ b holds
+        -0.0 (products that underflow), +0.0, inf, NaN and ordinary values."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((40, 7)).T, rng.standard_normal((40, 9))
+        a[0], b[:, 0] = -1e-200, 1e-200    # row 0 x column 0 underflows to -0.0
+        a[1] = 0.0                        # row 1 gives +0.0
+        a[2, 5], a[3, 6] = np.inf, np.nan
+        return a, b
+
+    def accumulated(self, grad, a, b):
+        """(add_product's grad, grad += a @ b) from the same starting grad."""
+        p, want = Param(np.zeros(grad.shape)), grad.copy()
+        p.grad[...] = grad
+        with np.errstate(invalid="ignore"):
+            p.add_product(a, b)
+            want += a @ b
+        return p.grad, want
+
+    def test_zeroed_gradient(self):
+        a, b = self.operands(27)
+        with np.errstate(invalid="ignore"):
+            product = a @ b
+        assert np.signbit(product[0, 0]) and product[0, 0] == 0.0
+        assert np.isinf(product).any() and np.isnan(product).any()
+        got, want = self.accumulated(np.zeros(product.shape), a, b)
+        npt.assert_array_equal(_bits(got), _bits(want))
+        assert not np.signbit(got[0, 0])   # 0.0 + -0.0 is +0.0
+
+    def test_gradient_holding_values(self):
+        a, b = self.operands(28)
+        got, want = self.accumulated(np.random.default_rng(29).standard_normal((7, 9)), a, b)
+        npt.assert_array_equal(_bits(got), _bits(want))
+
+    def test_gradient_holding_negative_zero(self, monkeypatch):
+        """-0.0 + -0.0 stays -0.0, so a grad of -0.0 takes the temporary, not the in-place write."""
+        a, b = self.operands(30)
+        calls = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+        got, want = self.accumulated(np.full((7, 9), -0.0), a, b)
+        npt.assert_array_equal(_bits(got), _bits(want))
+        assert np.signbit(got[0, 0]) and calls == []
 
 
 class TestResidual:

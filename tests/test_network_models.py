@@ -561,6 +561,19 @@ class TestCheckpoint:
         for pa, pb in zip(net.params(), loaded.params()):
             npt.assert_array_equal(pa.value, pb.value)
 
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        """The loader builds its network with zero weights and copies every tensor in:
+        it draws none of the weights it would overwrite."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew weights")
+        net = build_model("cnn4r", desk_arch(), (2, 16, 64))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, net, norm_scale=1.0)
+        monkeypatch.setattr(models.np.random, "default_rng", refuse)
+        loaded, _, _ = load_checkpoint(path)
+        for pa, pb in zip(net.params(), loaded.params(), strict=True):
+            assert pa.value.tobytes() == pb.value.tobytes()
+
     def test_failed_write_keeps_previous(self, tmp_path, monkeypatch):
         net, _, _ = build_tiny("cnn4r")
         path = tmp_path / "m.ckpt"
@@ -734,6 +747,13 @@ class TestCheckpointBounds:
     def test_arch_beyond_declared_weights(self, tmp_path, arch):
         _rejected_in_small_memory(
             _edited_checkpoint(tmp_path, build_tiny("cnn4r")[0], lambda h: h["arch"].update(arch)))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        """The loader draws nothing from the header's seed, and still refuses one that
+        build_model could not draw from."""
+        path = _edited_checkpoint(tmp_path, build_tiny("cnn4r")[0], lambda h: h["arch"].update(seed=-1))
+        with pytest.raises(CheckpointError, match="cannot rebuild model: expected non-negative integer"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["seed", "residual_units_per_block", "growth"])
     def test_bool_arch_value_rejected(self, tmp_path, field):

@@ -3,6 +3,7 @@ import importlib
 import os
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from csiloc.data import Dataset, NormStats, fit_normalizer
 from csiloc.errors import CsilocError, ShapeError, TrainingDivergedError
 from csiloc.evaluation import predict
 from csiloc.layers import Param
-from csiloc.models import MODEL_KINDS, build_model, build_tiny
+from csiloc.models import DEFAULT_INPUT_SHAPE, MODEL_KINDS, build_model, build_tiny, save_checkpoint
 from csiloc.train import (MIN_IMPROVEMENT, PlateauSchedule, TrainConfig, TrainHistory,
                           mde_loss, sgd_momentum_step, train)
 
@@ -493,3 +494,43 @@ def test_train_writes_no_checkpoint():
             {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "models" not in modules | imported
     assert "save_checkpoint" not in names | imported
+
+
+def test_train_holds_one_best_set():
+    """A run whose monitor improves in every epoch keeps one best-weights set, refreshed in
+    place, and its dense weight gradients make no temporaries. Made anew at each improvement,
+    beside the old one, the best set alone peaked at twice the weights; this run peaks below
+    that less its largest tensor."""
+    net = build_model("fcnn", {"hidden": [1000, 1000], "seed": 5}, (2, 16, 64))   # 24 MB of weights
+    rng = np.random.default_rng(74)
+    ds = Dataset(rng.standard_normal((40,) + net.input_shape), np.zeros((40, 16)), rng.uniform(1.0, 3.0, (40, 3)))
+    sizes = [p.value.nbytes for p in net.params()]
+    tracemalloc.start()
+    try:
+        _, hist = train(net, ds, TrainConfig(max_epochs=3, batch_size=8, seed=6),
+                        monitor_fn=lambda net, epoch: 10.0 - epoch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist.records) == 3
+    assert peak < 2 * sum(sizes) - max(sizes), (peak, sizes)
+
+
+def test_in_place_weight_gradient_keeps_checkpoint_bytes(monkeypatch, tmp_path):
+    """Two epochs of the shipped cnn4 at the measured width write the same checkpoint
+    bytes whether the dense weight gradient goes into w.grad or through grad += a @ b."""
+    def checkpoint(name):
+        net = build_model("cnn4", {}, DEFAULT_INPUT_SHAPE)
+        rng = np.random.default_rng(75)
+        ds = Dataset(rng.standard_normal((24,) + net.input_shape), np.zeros((24, 16)),
+                     rng.uniform(1.0, 3.0, (24, 3)))
+        train(net, ds, TrainConfig(max_epochs=2, batch_size=8, seed=7))
+        save_checkpoint(tmp_path / name, net, norm_scale=1.0)
+        return (tmp_path / name).read_bytes()
+
+    in_place = checkpoint("in_place.ckpt")
+
+    def add_product(self, a, b):
+        self.grad += a @ b
+    monkeypatch.setattr(Param, "add_product", add_product)
+    assert checkpoint("temporary.ckpt") == in_place
