@@ -12,18 +12,22 @@ forward runs that sequence one tile at a time, in a filter-major (F, cols)
 accumulator of whole samples, or of a range of antenna rows of one sample,
 whose buffers fit _TILE bytes: per (channel, tap) it copies the strided input
 window into one contiguous row, multiplies it by the tap's filter column and
-adds the product, all within a core's cache. The bias add writes the tile
-straight into the output, so a forward holds one output-sized array. A small
-ufunc buffer (_ROW_BUFFER) keeps numpy from buffering that broadcast multiply
-when rows are short, as at desk width.
+adds the product, all within a core's cache. A same-padded tile first copies
+each channel's rows into a zero-edged row buffer, also within _TILE, and
+reads its windows there, so no padded copy of the input is made. The bias
+add writes the tile straight into the output, so a forward holds one
+output-sized array. A small ufunc buffer (_ROW_BUFFER) keeps numpy from
+buffering that broadcast multiply when rows are short, as at desk width.
 Up to CSILOC_THREADS threads run that sequence at once, each over its own
 batch slice (slices of at least _SPLIT_FLOOR output elements) with its own
 tile buffers, so the output bits do not depend on the thread count. The
 conv backward is two BLAS products per kernel tap, one for the weight gradient
-and one for the input gradient: equal to the loop only to rounding. On two
-threads the caller runs every tap's weight product while a pool thread runs
-every tap's input product, in tap order, so each gradient gets the serial
-bits. The dense backward runs its two products the same way.
+and one for the input gradient: equal to the loop only to rounding. It reads
+padding as zeros: each tap's window is filled from the unpadded input, and
+its input product is added only into real columns. On two threads the
+caller runs every tap's weight product while a pool thread runs every tap's
+input product, in tap order, so each gradient gets the serial bits. The
+dense backward runs its two products the same way.
 All parallel work, evaluation's chunks included, goes through _fan_out on the
 one pool, _POOL, of one thread per core. A pool thread runs its task alone,
 with a budget of one thread, and writes only into buffers its caller allocated.
@@ -31,11 +35,13 @@ with a budget of one thread, and writes only into buffers its caller allocated.
 Layers keep no per-call state. `forward(x, tape)` takes its geometry from
 out_shape and pushes what its backward needs, with its output's shape, onto
 `tape`, a plain list; `backward(grad_out, tape)` pops it, in the reverse order
-of the forward, once grad_out has that shape. A layer with
-parameters takes `input_grad=False` to accumulate their gradients only: no
-one reads the gradient for a network's input. Without a tape (inference)
-nothing is kept: each activation is freed once the next layer is done with
-it, and concurrent forwards share nothing mutable.
+of the forward, once grad_out has that shape. The tape holds a conv's or
+dense layer's input itself, by reference, so no layer may write a forward
+input afterwards: ResidualUnit adds its skip into conv_b's own fresh output.
+A layer with parameters takes `input_grad=False` to accumulate their
+gradients only: no one reads the gradient for a network's input. Without a
+tape (inference) nothing is kept: each activation is freed once the next
+layer is done with it, and concurrent forwards share nothing mutable.
 """
 
 import os
@@ -238,6 +244,8 @@ class Conv1xK(_Weighted):
 
     Weights are (filters, in_channels, 1, k); bias one entry per filter.
     padding "valid" crops, "same" zero-pads so the output width is ceil(W/s).
+    No padded array is made: the forward's tiles pad their own rows, the tape
+    holds the unpadded input, and the backward reads padding as zeros.
     """
 
     kind = "conv1xk"
@@ -260,22 +268,25 @@ class Conv1xK(_Weighted):
 
     def forward(self, x, tape=None):
         f, height, w_out = self.out_shape(x.shape[1:])
-        left, right = self._pad(x.shape[3])
-        xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, right))) if left or right else x
+        width = x.shape[3]
+        left, right = self._pad(width)
+        padded_w = left + width + right if left or right else 0   # 0: windows read x itself
         batch, s, k = x.shape[0], self.stride, self.kernel
         wv, bias = self.w.value, self.b.value[:, None, None, None]
         out = np.empty((batch, f, height, w_out), dtype=DTYPE)
         parts = _parts(batch, f * height * w_out)
-        # a tile column takes f accumulator values, f products and one window value; a tile
-        # is whole samples, or a range of h rows of one sample when a sample is over budget
-        cols = max(_TILE // len(parts) // ((2 * f + 1) * np.dtype(DTYPE).itemsize), w_out)
-        rows = max(1, min(height, cols // w_out))
-        per = max(1, cols // (height * w_out))   # samples per tile
+        # a tile line (one h row of one sample) takes f accumulator values, f products and
+        # one window value a column, and one padded row; a tile is whole samples, or a
+        # range of h rows of one sample when a sample is over budget
+        lines = max(1, _TILE // len(parts) // (((2 * f + 1) * w_out + padded_w) * np.dtype(DTYPE).itemsize))
+        rows = min(height, lines)
+        per = max(1, lines // height)   # samples per tile
 
-        def sweep(lo, hi, acc, prod, row):
+        def sweep(lo, hi, acc, prod, row, padded):
             """The whole sequence over samples [lo, hi), one tile at a time: each tile's
             acc[f, (b, h, w)] gets 0, then += w[f, c, t] * x for each (c, t),
-            channel-outer, tap-inner, then the bias on its way into out (the naive order)."""
+            channel-outer, tap-inner, then the bias on its way into out (the naive order).
+            padded's edge columns are zeros, never written."""
             old = np.setbufsize(_ROW_BUFFER)   # per thread, so set on whichever runs the sweep
             try:
                 for b0 in range(lo, hi, per):
@@ -286,9 +297,13 @@ class Conv1xK(_Weighted):
                         part, scratch = acc[:f * n].reshape(f, n), prod[:f * n].reshape(f, n)
                         line = row[:n]
                         win = line.reshape(b1 - b0, h1 - h0, w_out)
+                        edged = padded[:b1 - b0, :h1 - h0]
                         part[...] = 0.0
                         for c in range(self.in_channels):
-                            plane = xp[b0:b1, c, h0:h1]
+                            plane = x[b0:b1, c, h0:h1]
+                            if padded_w:
+                                edged[..., left:left + width] = plane
+                                plane = edged
                             for t in range(k):
                                 win[...] = plane[:, :, t:t + s * w_out:s]
                                 np.multiply(wv[:, c, 0, t][:, None], line, out=scratch)
@@ -300,26 +315,39 @@ class Conv1xK(_Weighted):
 
         tasks = []
         for lo, hi in parts:   # each part's buffers, sized to its largest tile
-            n = min(per, hi - lo) * rows * w_out
-            tasks.append(partial(sweep, lo, hi, *(np.empty(size, dtype=DTYPE) for size in (f * n, f * n, n))))
+            m = min(per, hi - lo)
+            n = m * rows * w_out
+            tasks.append(partial(sweep, lo, hi, *(np.empty(size, dtype=DTYPE) for size in (f * n, f * n, n)),
+                                 np.zeros((m, rows, padded_w), dtype=DTYPE)))
         _fan_out(tasks)
-        self._push(tape, (xp, x.shape[3], left), out.shape)
+        self._push(tape, x, out.shape)
         return out
 
     def backward(self, grad_out, tape, input_grad=True):
-        xp, in_width, left = self._pop(tape, grad_out)
+        x = self._pop(tape, grad_out)
         w_out = grad_out.shape[3]
         self.b.grad += grad_out.sum(axis=(0, 2, 3))
-        # two GEMMs per tap over all channels and filters, on (C, B, H, W) views of xp's memory
-        c, wv = self.in_channels, self.w.value
+        # two GEMMs per tap over all channels and filters, on (C, B, H, W) views of x's memory
+        c, s, wv = self.in_channels, self.stride, self.w.value
         g = grad_out.transpose(1, 0, 2, 3).reshape(self.filters, -1)
-        xt = xp.transpose(1, 0, 2, 3)
-        taps = [slice(t, t + self.stride * w_out, self.stride) for t in range(self.kernel)]
-        win = np.empty(xt[..., taps[0]].shape, dtype=DTYPE)   # one tap's (C, B, H, W_out) window
+        xt = x.transpose(1, 0, 2, 3)
+        width = xt.shape[3]
+        left = self._pad(width)[0]
+        # tap t's output columns [lo, hi) read input columns t + s*j - left; the rest read
+        # padding. The range is empty when the tap lies wholly in padding (width < kernel)
+        taps = []
+        for t in range(self.kernel):
+            lo = min(w_out, max(0, -((t - left) // s)))
+            hi = max(lo, min(w_out, -((t - left - width) // s)))
+            start = t + s * lo - left
+            taps.append((lo, hi, slice(start, start + s * (hi - lo), s)))
+        win = np.empty(xt.shape[:3] + (w_out,), dtype=DTYPE)   # one tap's (C, B, H, W_out) window
 
         def weight_taps():
-            for t, cols in enumerate(taps):
-                win[...] = xt[..., cols]
+            for t, (lo, hi, cols) in enumerate(taps):
+                win[..., :lo] = 0.0
+                win[..., lo:hi] = xt[..., cols]
+                win[..., hi:] = 0.0
                 self.w.grad[:, :, 0, t] += g @ win.reshape(c, -1).T
 
         if not input_grad:
@@ -332,12 +360,12 @@ class Conv1xK(_Weighted):
         prod = np.empty_like(win) if split else win
 
         def input_taps():
-            for t, cols in enumerate(taps):
+            for t, (lo, hi, cols) in enumerate(taps):
                 np.matmul(wv[:, :, 0, t].T, g, out=prod.reshape(c, -1))
-                gxt[..., cols] += prod
+                gxt[..., cols] += prod[..., lo:hi]
 
         _fan_out([weight_taps, input_taps], 1 if split else 2)
-        return gxt.transpose(1, 0, 2, 3)[:, :, :, left:left + in_width]
+        return gxt.transpose(1, 0, 2, 3)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:
@@ -485,7 +513,8 @@ class ResidualUnit(Layer):
 
     def forward(self, x, tape=None):
         h = self.conv_b.forward(self.relu_mid.forward(self.conv_a.forward(x, tape), tape), tape)
-        return self.relu_out.forward(h + x, tape)
+        h += x   # conv_b's own fresh output: the tape holds x and conv_b's input, never h
+        return self.relu_out.forward(h, tape)
 
     def backward(self, grad_out, tape, input_grad=True):
         g = self.relu_out.backward(grad_out, tape)

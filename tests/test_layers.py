@@ -125,6 +125,22 @@ class TestConvForward:
         assert 1 in out.shape
         npt.assert_array_equal(out, self.naive_batch(conv, x))
 
+    @pytest.mark.parametrize("w,k,s", [
+        (1, 5, 1),   # desk block 4's shape
+        (3, 7, 2),   # tap 0 lies wholly in padding
+    ])
+    def test_width_below_kernel_bitwise(self, w, k, s):
+        conv = make_conv(3, 4, k, s, "same", seed=76)
+        x = np.random.default_rng(77).standard_normal((2, 3, 2, w))
+        npt.assert_array_equal(conv.forward(x), self.naive_batch(conv, x))
+
+    def test_same_padded_tape_holds_the_input(self):
+        conv = make_conv(3, 4, 5, 1, "same", seed=78)
+        x = np.random.default_rng(79).standard_normal((2, 3, 2, 9))
+        tape = []
+        conv.forward(x, tape)
+        assert tape[0][1] is x
+
     @pytest.mark.parametrize("shape,k,s,padding", [
         ((2, 3, 4, 20), 5, 2, "valid"), ((1, 3, 1, 7), 3, 1, "same"), ((3, 3, 2, 9), 9, 1, "valid"),
     ])
@@ -217,7 +233,7 @@ BORDER_CASES = {
 # one part's tile, which the tests get by setting _TILE
 TILE_CASES = {
     "h_ranges": ((3, 2, 3, 7, 20, 3, 1, "valid"), 3 * 18),    # 3 of a sample's 7 rows a tile: 3, 3, 1
-    "ragged_batch": ((7, 2, 3, 2, 16, 4, 2, "same"), 3 * 16),  # 3 samples a tile; 7 = 3 + 3 + 1
+    "ragged_batch": ((7, 2, 3, 2, 16, 4, 2, "same"), 3 * 16),  # 2 samples a tile with their padded rows: 2, 2, 2, 1
     "one_row": ((2, 3, 2, 4, 11, 2, 3, "valid"), 1),           # under one row: a tile is one row
 }
 # a backward splits when its output holds the floor; this one holds 32767
@@ -535,6 +551,8 @@ class TestConvBackward:
         (None, None, 17, 4, None, "same"),   # even kernel: asymmetric same pad
         (None, None, 21, 6, 3, "same"),
         (1, 1, 19, 5, None, None),           # one channel, one filter
+        (None, None, 1, 5, 1, "same"),       # width below the kernel: desk block 4's shape
+        (None, None, 3, 7, 2, "same"),       # tap 0 lies wholly in padding
     ])
     def test_matches_loop_oracle(self, case):
         rng = np.random.default_rng(17)
@@ -815,6 +833,25 @@ class TestResidual:
             p.value += rng.uniform(-0.2, 0.2, p.value.shape)
         x = rng.standard_normal((1, 2, 2, 9))
         assert fd_layer_check(unit, x, rng) < 1e-4
+
+    def test_training_forward_makes_no_padded_copy(self, monkeypatch):
+        """The tape holds each conv's input itself and the skip adds into conv_b's output:
+        at its peak a training forward holds conv_b's input and output, the ReLU masks and
+        one tile, and afterwards the tape holds conv_b's input and the two masks."""
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        unit = ResidualUnit(8, 5, rng=np.random.default_rng(74))
+        x = np.random.default_rng(75).standard_normal((32, 8, 16, 30))
+        unit.forward(x, [])
+        tracemalloc.start()
+        try:
+            tape = []
+            unit.forward(x, tape)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        masks = 2 * x.size   # one byte a value
+        assert peak <= 2 * x.nbytes + masks + layers._TILE + 16384, peak
+        assert held <= x.nbytes + masks + 16384, held
 
     def test_parameterless_layers(self):
         assert ReLU().params() == []
