@@ -38,6 +38,9 @@ out_shape and pushes what its backward needs, with its output's shape, onto
 of the forward, once grad_out has that shape. The tape holds a conv's or
 dense layer's input itself, by reference, so no layer may write a forward
 input afterwards: ResidualUnit adds its skip into conv_b's own fresh output.
+Nor may any layer write a backward's grad_out afterwards: a dense weight
+gradient may be kept as its two factors, grad_out and the forward input, until
+the next zero_grads (Param.add_product).
 A layer with parameters takes `input_grad=False` to accumulate their
 gradients only: no one reads the gradient for a network's input. Without a
 tape (inference) nothing is kept: each activation is freed once the next
@@ -146,28 +149,65 @@ class Param:
     """One trainable tensor with its gradient accumulator and momentum buffer.
 
     Each is made once, here, and then written in place. grad and vel are calloc'd, so
-    a network that is never trained (evaluation) never touches their pages."""
+    a network that is never trained (evaluation) never touches their pages.
 
-    __slots__ = ("value", "grad", "vel")
+    A gradient may be pending: factors (a, b) stand for grad = a @ b, kept by
+    add_product while they are smaller than the gradient. The optimizer makes a pending
+    gradient a row block at a time (train.sgd_momentum_step), so its array is never
+    written. Reading grad makes it first, with add_product's bits. The factors are
+    read-only until the next zero_grad: no one writes them, as no one writes a tape's."""
+
+    __slots__ = ("value", "_grad", "vel", "factors", "_written")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=DTYPE, order="C")   # the optimizer updates it flat
-        self.grad = np.zeros(self.value.shape, dtype=DTYPE)   # calloc: untouched pages until used
+        self._grad = np.zeros(self.value.shape, dtype=DTYPE)   # calloc: untouched pages until used
         self.vel = np.zeros(self.value.shape, dtype=DTYPE)
+        self.factors = None
+        self._written = False   # grad may hold other than zeros: it has been read since zero_grad
 
     @property
     def size(self):
         return self.value.size
 
+    @property
+    def grad(self):
+        """The gradient array, its pending product made first. Its reader may write it."""
+        if self.factors is not None:
+            a, b = self.factors
+            self.factors = None
+            self._make(a, b)
+        self._written = True
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):   # `p.grad += x` adds in place, then assigns the same array
+        if value is not self._grad:
+            self._grad[...] = value
+
+    def _make(self, a, b):
+        np.matmul(a, b, out=self._grad)
+        self._grad += 0.0
+        self._written = True
+
     def add_product(self, a, b):
-        """grad += a @ b, bit for bit. When every bit of grad is zero, as after zero_grads,
-        the product is written into grad and 0.0 added, with no temporary: IEEE addition
-        commutes, so that is 0.0 + (a @ b), -0.0 turning to +0.0 as the += turns it."""
-        if self.grad.view(np.uint64).any():
+        """grad += a @ b, bit for bit. Into a zeroed gradient, as after zero_grad, the
+        product is kept as pending factors if they are smaller than grad, or else written
+        into grad and 0.0 added, with no temporary: IEEE addition commutes, so that is
+        0.0 + (a @ b), -0.0 turning to +0.0 as the += turns it."""
+        if self._written or self.factors is not None:
             self.grad += a @ b
+        elif a.size + b.size < self._grad.size:
+            self.factors = (a, b)
         else:
-            np.matmul(a, b, out=self.grad)
-            self.grad += 0.0
+            self._make(a, b)
+
+    def zero_grad(self):
+        """Drop pending factors and zero the gradient, writing only one that was read."""
+        self.factors = None
+        if self._written:
+            self._grad[...] = 0.0
+            self._written = False
 
 
 class Layer:
@@ -188,7 +228,7 @@ class Layer:
 
     def zero_grads(self):
         for p in self.params():
-            p.grad[...] = 0.0
+            p.zero_grad()
 
     def forward(self, x, tape=None):
         """Output for x; with a tape, the backward context is pushed onto it."""
@@ -466,8 +506,10 @@ class Dense(_Weighted):
         return out
 
     def backward(self, grad_out, tape, input_grad=True):
-        """The weight gradient goes straight into w.grad (Param.add_product), so a
-        backward after zero_grads makes no weight-sized temporary."""
+        """The weight gradient grad_out.T @ x goes to w.add_product. After zero_grads it
+        is kept as those two factors when they are smaller than the weights, as for a
+        large head, and the optimizer makes it; otherwise it is written into w.grad. So
+        a backward makes no weight-sized temporary."""
         x = self._pop(tape, grad_out)
         self.b.grad += grad_out.sum(axis=0)
         weight_grad = partial(self.w.add_product, grad_out.T, x)

@@ -22,29 +22,86 @@ from .network import mde_loss
 MIN_IMPROVEMENT = 1e-6   # meters; smaller deltas do not reset patience
 # elements per optimizer block: its three sweeps find the block in cache
 _SGD_BLOCK = 1 << 15
+# finite factors a, b with K * max|a| * max|b| below this make no infinity in a @ b
+_NO_OVERFLOW = 2.0 ** 1000
+
+
+def _max_abs(f):
+    """max |f|, or TrainingDivergedError if f holds a NaN or an infinity."""
+    lo, hi = float(f.min()), float(f.max())   # NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise TrainingDivergedError("non-finite gradient in optimizer step")
+    return max(-lo, hi)
+
+
+def _blocks(lo, hi, rows):
+    """[lo, hi) in blocks of rows, a last lone row joining the block before it: numpy
+    makes a one-row product by gemv, whose bits differ from the whole product's."""
+    while lo < hi:
+        end = hi if hi - lo < rows + 2 else lo + rows
+        yield lo, end
+        lo = end
+
+
+def _gradient_rows(p):
+    """p's gradient as (cols, parts, rows, make): rows of cols elements, split into
+    parts of whole rows and updated rows at a time; make(lo, hi, out) returns rows
+    [lo, hi), made into out if the gradient is pending."""
+    if p.factors is None:
+        g = p.grad.reshape(-1)
+        return 1, _parts(g.size), _SGD_BLOCK, lambda lo, hi, out: g[lo:hi]
+    a, b = p.factors
+    cols, total = b.shape[1], a.shape[0]
+    pairs = _parts(total // 2, 2 * cols)   # parts of two rows or more, unless there is one row
+    parts = [(2 * lo, 2 * hi) for lo, hi in pairs[:-1]] + [(2 * pairs[-1][0], total)]
+
+    def make(lo, hi, out):
+        np.matmul(a[lo:hi], b, out=out.reshape(hi - lo, cols))
+        out += 0.0   # Param's bits: -0.0 made +0.0
+        return out
+    return cols, parts, max(2, _SGD_BLOCK // cols), make
 
 
 def sgd_momentum_step(params, lr, momentum):
     """Classical momentum update: v <- momentum*v - lr*g; w <- w + v.
 
     A parameter's gradient is checked whole before any of it is updated. It is
-    updated in parts, one per thread (layers._parts), block by block; every
-    element gets the same operations whatever the split."""
-    for p in params:
-        v, w, g = p.vel.reshape(-1), p.value.reshape(-1), p.grad.reshape(-1)
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):   # NaN propagates through both
-            raise TrainingDivergedError("non-finite gradient in optimizer step")
-        parts = _parts(g.size)
-        steps = np.empty((len(parts), min(g.size, _SGD_BLOCK)))   # a block of lr * g per part
+    updated in parts, one per thread (layers._parts), block by block, each part with
+    one block buffer for the whole call; every element gets the same operations
+    whatever the split.
 
-        def update(lo, hi, step):
-            for a in range(lo, hi, _SGD_BLOCK):
-                b = min(a + _SGD_BLOCK, hi)
-                v[a:b] *= momentum
-                v[a:b] -= np.multiply(lr, g[a:b], out=step[:b - a])
-                w[a:b] += v[a:b]
+    A pending gradient (Param.factors, grad = a @ b) is never made whole: each block
+    is two or more whole rows of it, made from the factors with the whole product's
+    bits. Its check is exact: a NaN or infinity in a factor makes its whole row or
+    column of a @ b non-finite, and finite factors with K * max|a| * max|b| under
+    _NO_OVERFLOW (K their shared length) make no infinity. Past that bound each block
+    is made once to check it before any is made to update.
+    """
+    grads = [_gradient_rows(p) for p in params]
+    buffers = np.empty((max(len(parts) for _, parts, _, _ in grads),
+                        max(min(hi - lo, rows + 1) * cols
+                            for cols, parts, rows, _ in grads for lo, hi in parts)))
+    for p, (cols, parts, rows, make) in zip(params, grads):
+        v, w = p.vel.reshape(-1), p.value.reshape(-1)
 
-        _fan_out([partial(update, lo, hi, step) for (lo, hi), step in zip(parts, steps)])
+        def blocks(lo, hi, out):   # (first element, end element, gradient block)
+            for i, j in _blocks(lo, hi, rows):
+                yield i * cols, j * cols, make(i, j, out[:(j - i) * cols])
+
+        def update(lo, hi, out):
+            for i, j, g in blocks(lo, hi, out):
+                v[i:j] *= momentum
+                v[i:j] -= np.multiply(lr, g, out=out[:j - i])
+                w[i:j] += v[i:j]
+
+        if p.factors is None:
+            _max_abs(p.grad)
+        elif (a := p.factors[0]).shape[1] * _max_abs(a) * _max_abs(p.factors[1]) >= _NO_OVERFLOW:
+            with np.errstate(over="ignore", invalid="ignore"):   # an infinity raises here
+                for lo, hi in parts:
+                    for _, _, g in blocks(lo, hi, buffers[0]):
+                        _max_abs(g)
+        _fan_out([partial(update, lo, hi, out) for (lo, hi), out in zip(parts, buffers)])
 
 
 class PlateauSchedule:

@@ -144,6 +144,133 @@ class TestSgdStep:
         assert all((p.value != q.value).all() for p, q in zip(end[:2], start[:2]))
 
 
+def pending(units, features, batch, seed):
+    """A (units, features) Param with random value and velocity whose gradient is pending
+    as a dense backward leaves it, with factors grad_out.T and x. Gradient element (0, 0)
+    underflows to -0.0 and its velocity is -0.0, so a step that did not make it +0.0, as
+    a made gradient is, would leave a velocity of +0.0, not -0.0."""
+    rng = np.random.default_rng(seed)
+    p = Param(rng.standard_normal((units, features)))
+    p.vel[...] = rng.standard_normal(p.vel.shape)
+    p.vel[0, 0] = -0.0
+    a, b = rng.standard_normal((batch, units)).T, rng.standard_normal((batch, features))
+    a[0], b[:, 0] = -1e-200, 1e-200
+    p.factors = (a, b)
+    return p
+
+
+def _bits(a):
+    return a.view(np.uint64).copy()
+
+
+class TestPendingStep:
+    """A pending gradient's step gives the bits of reading grad (which makes it whole), then
+    stepping, and raises where that would, without making the gradient whole."""
+
+    @staticmethod
+    def stepped(params, made):
+        if made:
+            for p in params:
+                p.grad   # makes a pending gradient whole
+        sgd_momentum_step(params, lr=1e-3, momentum=0.9)
+        return [(_bits(p.value), _bits(p.vel)) for p in params]
+
+    @pytest.mark.parametrize("units", [1, 2, 3, 5, 7, 1000])
+    @pytest.mark.parametrize("features", [3, 9, 4896])
+    @pytest.mark.parametrize("batch", [1, 2, 17, 32])
+    def test_matches_made_gradient_bitwise(self, monkeypatch, units, features, batch):
+        """Every split, row block and ragged last block at one and two threads, each part
+        holding whole rows: 1000 rows of 4896 go 6 rows a block, 7 rows of 4896 as one block."""
+        monkeypatch.setattr(layers, "_SPLIT_FLOOR", 1)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            want = self.stepped([pending(units, features, batch, 80)], made=True)
+            p = pending(units, features, batch, 80)
+            got = self.stepped([p], made=False)
+            npt.assert_array_equal(got[0][0], want[0][0])
+            npt.assert_array_equal(got[0][1], want[0][1])
+            assert p.factors is not None and not p._grad.any()   # its array was never written
+
+    def test_one_row_block_changes_bits(self, monkeypatch):
+        """Blocks that may end in a lone row (7 rows of 4896 in blocks of 6 and 1): numpy
+        makes that row by gemv, and the step's bits differ from the made gradient's."""
+        monkeypatch.setenv("CSILOC_THREADS", "1")
+        want = self.stepped([pending(7, 4896, 17, 81)], made=True)
+        monkeypatch.setattr(train_module, "_blocks",
+                            lambda lo, hi, rows: ((i, min(i + rows, hi)) for i in range(lo, hi, rows)))
+        got = self.stepped([pending(7, 4896, 17, 81)], made=False)
+        assert (got[0][0] != want[0][0]).any()
+
+    @staticmethod
+    def state(bad_at=None, factor=0, value=np.nan):
+        """Five parameters, the second, fourth and fifth pending; the fourth splits over two
+        threads. value goes into the last row of factor 0 or the last column of factor 1 of
+        the parameter at bad_at."""
+        params = [Param(np.random.default_rng(82).standard_normal(3)), pending(6, 40, 8, 83),
+                  Param(np.random.default_rng(84).standard_normal(10)), pending(64, 1100, 8, 85),
+                  pending(9, 500, 8, 86)]
+        for p, seed in ((params[0], 87), (params[2], 88)):
+            p.grad[...] = np.random.default_rng(seed).standard_normal(p.size)
+        if bad_at is not None:
+            a, b = params[bad_at].factors
+            (a[-1] if factor == 0 else b[:, -1])[-1] = value
+        return params
+
+    @staticmethod
+    def assert_same(a, b):
+        for p, q in zip(a, b, strict=True):
+            npt.assert_array_equal(p.value, q.value)
+            npt.assert_array_equal(p.vel, q.vel)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("factor", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor(self, monkeypatch, k, factor, value):
+        """The parameters before k are stepped, k and those after it are untouched."""
+        start, stepped, ends = self.state(), self.state(), {}
+        sgd_momentum_step(stepped, lr=1e-3, momentum=0.9)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CSILOC_THREADS", threads)
+            ends[threads] = self.state(k, factor, value)
+            with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+                sgd_momentum_step(ends[threads], lr=1e-3, momentum=0.9)
+        self.assert_same(ends["2"], ends["1"])
+        self.assert_same(ends["1"][k:], start[k:])
+        self.assert_same(ends["1"][:k], stepped[:k])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_product(self, monkeypatch, threads):
+        """Finite factors whose product overflows in one element, in the last part, raise
+        before any of that parameter is updated."""
+        monkeypatch.setenv("CSILOC_THREADS", threads)
+        start, stepped, end = self.state(), self.state(), self.state()
+        sgd_momentum_step(stepped, lr=1e-3, momentum=0.9)
+        a, b = end[3].factors
+        a[-1, -1], b[-1, -1] = 1e200, 1e200
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient"):
+            sgd_momentum_step(end, lr=1e-3, momentum=0.9)
+        self.assert_same(end[3:], start[3:])
+        self.assert_same(end[:3], stepped[:3])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("alone", [False, True])
+    def test_finite_product_past_the_bound(self, monkeypatch, threads, alone):
+        """Factors with max|a| * max|b| past any float whose product stays finite (1e200
+        never meets 1e200) step to the made gradient's bits, in the five parameters or in
+        a lone 5-row gradient, split 2 + 3 rows at two threads."""
+        monkeypatch.setattr(layers, "_SPLIT_FLOOR", 1)
+        monkeypatch.setenv("CSILOC_THREADS", threads)
+        runs = []
+        for made in (True, False):
+            params = [pending(5, 4896, 17, 90)] if alone else self.state()
+            a, b = params[-1].factors
+            a[-1, 0], b[1, -1] = 1e200, 1e200
+            runs.append(self.stepped(params, made))
+        for (value, vel), (want_value, want_vel) in zip(runs[1], runs[0], strict=True):
+            npt.assert_array_equal(value, want_value)
+            npt.assert_array_equal(vel, want_vel)
+
+
 class TestPlateauSchedule:
     def test_constant_monitor_trace(self):
         sched = PlateauSchedule(1e-3, 0.1, 10, 21)
@@ -534,3 +661,20 @@ def test_in_place_weight_gradient_keeps_checkpoint_bytes(monkeypatch, tmp_path):
         self.grad += a @ b
     monkeypatch.setattr(Param, "add_product", add_product)
     assert checkpoint("temporary.ckpt") == in_place
+
+
+def test_train_never_writes_a_pending_head_gradient():
+    """The desk cnn4's Dense(432, 256) head keeps its weight gradient as factors in every
+    step, so train() runs with that gradient's array read-only, to the same weights."""
+    def trained(read_only):
+        net = build_model("cnn4", desk_arch(), (2, 16, 64))
+        head = max(net.params(), key=lambda p: p.size)
+        head._grad.setflags(write=not read_only)
+        rng = np.random.default_rng(89)
+        ds = Dataset(rng.standard_normal((40,) + net.input_shape), np.zeros((40, 16)),
+                     rng.uniform(1.0, 3.0, (40, 3)))
+        train(net, ds, TrainConfig(max_epochs=2, batch_size=8, seed=10))
+        return [p.value for p in net.params()]
+
+    for got, want in zip(trained(True), trained(False), strict=True):
+        npt.assert_array_equal(_bits(got), _bits(want))
